@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", default="32", help="sparsity level; comma list for sweep")
         p.add_argument("--t", type=int, default=1000)
         p.add_argument("--tmin", type=int, default=None, help="burn-in (default t/2)")
-        p.add_argument("--trials", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--oracle-tol", type=float, default=1e-12)
@@ -54,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rmse vs sparsity level, CSV + SVG")
     p_sweep.add_argument("edges")
+    p_sweep.add_argument("--trials", type=int, default=10)
     common(p_sweep, needs_source=True)
 
     p_tail = sub.add_parser("tail", help="tail decay of the reference solution")
@@ -98,10 +98,10 @@ def _estimate_csv(estimate: SparseVector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config(args) -> RsriConfig:
+def _config(args, **extra) -> RsriConfig:
     t_min = args.tmin if args.tmin is not None else args.t // 2
     m = int(str(args.m).split(",")[0])
-    return RsriConfig(m=m, t=args.t, t_min=t_min, seed=args.seed, trials=args.trials)
+    return RsriConfig(m=m, t=args.t, t_min=t_min, seed=args.seed, **extra)
 
 
 def _cmd_solve(args) -> int:
@@ -138,7 +138,7 @@ def _cmd_pagerank(args) -> int:
 def _cmd_sweep(args) -> int:
     edges = load_edge_list(args.edges)
     problem = build_problem(edges, args.alpha, args.source)
-    cfg = _config(args)
+    cfg = _config(args, trials=args.trials)
     m_list = [int(tok) for tok in str(args.m).split(",") if tok]
     csv_path = args.out or "sweep.csv"
     svg_path = str(Path(csv_path).with_suffix(".svg"))

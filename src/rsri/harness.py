@@ -1,11 +1,10 @@
 """Experiment driver: RMSE estimation over trials, m-sweeps, tail reports.
 
-Trials run on a thread pool capped by the RSRI_THREADS environment
-variable (hardware parallelism by default); the reduction is ordered by
-trial index so aggregate outputs never depend on scheduling.  Sweep CSVs
-are byte-stable across identical runs: everything written is a pure
-function of the flags and seed, which is why measured wall-clock times go
-to the returned rows and the log, not into the file.
+Trials run one after another in trial-index order, trial k on
+spawn_stream(seed, k).  Sweep CSVs are byte-stable across identical runs:
+everything written is a pure function of the flags and seed, which is why
+measured wall-clock times go to the returned rows and the log, not into
+the file.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,27 +57,14 @@ class RmseEstimate:
     wall_clock_s: float
 
 
-def _max_workers() -> int:
-    env = os.environ.get("RSRI_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _trial_estimates(problem, cfg: RsriConfig) -> tuple[np.ndarray, int, float]:
     """X-bar per trial as dense rows, plus mean accesses and wall time."""
     master = RandomStream(cfg.seed)
     start = time.perf_counter()
-
-    def one(trial: int):
-        report = rsri(problem.A, problem.b, cfg, spawn_stream(master, trial))
-        return report.estimate.to_dense(), report.column_accesses
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(one, range(cfg.trials)))
+    reports = [rsri(problem.A, problem.b, cfg, spawn_stream(master, k)) for k in range(cfg.trials)]
     wall = time.perf_counter() - start
-    estimates = np.stack([r[0] for r in results])
-    accesses = int(round(float(np.mean([r[1] for r in results]))))
+    estimates = np.stack([r.estimate.to_dense() for r in reports])
+    accesses = int(round(float(np.mean([r.column_accesses for r in reports]))))
     return estimates, accesses, wall
 
 
@@ -186,11 +171,14 @@ def run_sweep(
 
 
 def _write_atomic(path, text: str):
+    """Replace path with text in one step: a failed write leaves it as it was."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        path.write_text(text)
-    except Exception:
-        path.unlink(missing_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
 
 

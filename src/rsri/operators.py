@@ -1,4 +1,4 @@
-"""Column-oracle matrices: the only access any solver performs is column(j).
+"""Column-oracle matrices: every solver access is column(j) or a gather of several.
 
 Concrete backings are compressed sparse columns, a dense wrapper, and an
 implicit generator.  Implicit generators must be pure functions of the
@@ -64,6 +64,15 @@ class ColumnMatrix:
 
     def column(self, j: int) -> SparseVector:
         raise NotImplementedError
+
+    def gather(self, cols: np.ndarray, coeffs: np.ndarray):
+        """Flat (rows, coeff * values) for the requested columns; no dedupe."""
+        picked = [self.column(int(j)) for j in cols]
+        if not picked:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        rows = np.concatenate([col.indices for col in picked])
+        vals = np.concatenate([w * col.values for w, col in zip(coeffs, picked)])
+        return rows, vals
 
     def _check_index(self, j: int):
         if not 0 <= j < self.dim:
@@ -228,12 +237,9 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
         return np.bincount(A.indices, weights=A.data * v[A.column_ids()], minlength=A.dim)
     if isinstance(A, DenseColumnMatrix):
         return A.array @ v
-    out = np.zeros(A.dim)
-    for j in range(A.dim):
-        col = A.column(j)
-        if v[j] != 0.0 and col.nnz:
-            out[col.indices] += v[j] * col.values
-    return out
+    nz = np.flatnonzero(v)
+    rows, vals = A.gather(nz, v[nz])
+    return np.bincount(rows, weights=vals, minlength=A.dim)
 
 
 def densify(A: ColumnMatrix) -> np.ndarray:

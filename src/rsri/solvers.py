@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import ColumnMatrix, CscMatrix, apply
+from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
 from .sparsify import sparsify
 from .vectors import SparseVector, coalesce, dot
@@ -117,16 +117,7 @@ def reference_solve(
 
 def _next_iterate(A: ColumnMatrix, b: SparseVector, phi: SparseVector) -> SparseVector:
     # X = b + phi - sum_j phi_j A(:, j); duplicates merged, exact zeros dropped
-    if isinstance(A, CscMatrix):
-        rows, vals = A.gather(phi.indices, phi.values)
-    else:
-        parts_i, parts_v = [], []
-        for j, w in zip(phi.indices, phi.values):
-            col = A.column(int(j))
-            parts_i.append(col.indices)
-            parts_v.append(w * col.values)
-        rows = np.concatenate(parts_i) if parts_i else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(parts_v) if parts_v else np.empty(0)
+    rows, vals = A.gather(phi.indices, phi.values)
     idx = np.concatenate([b.indices, phi.indices, rows])
     val = np.concatenate([b.values, phi.values, -vals])
     return coalesce(b.dim, idx, val)
@@ -161,40 +152,46 @@ def _run_iterates(
 
 
 class _Accumulator:
-    """Running sum of sparse iterates; dense array below the dim limit,
-    index-keyed sums above it (the regime where the solution itself is
-    too large to store densely)."""
+    """Running sum of sparse iterates.
 
-    def __init__(self, dim: int, dense_limit: int):
-        self.dim = dim
-        self.dense = np.zeros(dim) if dim <= dense_limit else None
-        self.sums: dict[int, float] = {}
+    Up to DENSE_ACCUMULATOR_LIMIT the sum is a dense array.  Above it (the
+    regime where the solution itself is too large to store densely) the
+    sum is a SparseVector; iterates are buffered behind it and folded in
+    with one coalesce once their entries outnumber its support, so a fold
+    costs about as much as the entries it absorbs.
+    """
+
+    def __init__(self, dim: int):
+        self.dense = np.zeros(dim) if dim <= DENSE_ACCUMULATOR_LIMIT else None
+        self.parts = [SparseVector.empty(dim)]  # running sum, then buffered iterates
+        self.buffered = 0
 
     def add(self, v: SparseVector):
         if self.dense is not None:
             np.add.at(self.dense, v.indices, v.values)
-        else:
-            sums = self.sums
-            for i, val in zip(v.indices.tolist(), v.values.tolist()):
-                sums[i] = sums.get(i, 0.0) + val
+            return
+        self.parts.append(v)
+        self.buffered += v.nnz
+        if self.buffered > self.parts[0].nnz:
+            self._fold()
+
+    def _fold(self):
+        idx = np.concatenate([p.indices for p in self.parts])
+        val = np.concatenate([p.values for p in self.parts])
+        self.parts = [coalesce(self.parts[0].dim, idx, val)]
+        self.buffered = 0
 
     def average(self, count: int) -> SparseVector:
         if self.dense is not None:
             return SparseVector.from_dense(self.dense / count)
-        items = sorted(self.sums.items())
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        val = np.array([v / count for _, v in items])
+        self._fold()
+        total = self.parts[0]
+        val = total.values / count
         keep = val != 0.0
-        return SparseVector(self.dim, idx[keep], val[keep])
+        return SparseVector(total.dim, total.indices[keep], val[keep])
 
 
-def rsri(
-    A: ColumnMatrix,
-    b: SparseVector,
-    cfg: RsriConfig,
-    rng: RandomStream,
-    dense_limit: int = DENSE_ACCUMULATOR_LIMIT,
-) -> SolveReport:
+def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -> SolveReport:
     """Randomly sparsified Richardson iteration.
 
     Runs t iterations from X = b, sparsifying each iterate to at most m
@@ -202,7 +199,7 @@ def rsri(
     iterates s = t_min .. t - 1 along with the exact column-access count.
     """
     start = time.perf_counter()
-    acc = _Accumulator(A.dim, dense_limit)
+    acc = _Accumulator(A.dim)
     accesses = _run_iterates(A, b, cfg, rng, acc.add)
     estimate = acc.average(cfg.t - cfg.t_min)
     return SolveReport(

@@ -35,7 +35,7 @@ class SparseVector:
 
     Invariants enforced at construction: indices strictly increasing and
     inside ``[0, dim)``, values nonzero.  The backing arrays are marked
-    read-only so instances can be shared across concurrent trials.
+    read-only so instances can be shared without copying.
     """
 
     dim: int

@@ -47,6 +47,16 @@ class TestArgumentErrors:
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "id.mtx", "b.txt"],
+        ["pagerank", "edges.txt"],
+        ["tail", "edges.txt"],
+        ["baseline", "mc", "edges.txt"],
+    ])
+    def test_trials_only_on_sweep(self, command, capsys):
+        assert cli_main(command + ["--trials", "3"]) == 1
+        assert "--trials" in capsys.readouterr().err
+
 
 class TestPagerank:
     def test_cycle_ranks_source_first(self, cycle_file, capsys):

@@ -17,7 +17,7 @@ from rsri import (
     tail_report,
     tail_sums,
 )
-from rsri.harness import CSV_HEADER, _max_workers
+from rsri.harness import CSV_HEADER, _write_atomic
 from rsri.svgplot import svg_line_plot
 
 from conftest import sparse_from, three_cycle_problem
@@ -71,12 +71,6 @@ class TestEstimateRmse:
             biases.append(estimate_rmse(prob, cfg, x).bias_norm)
         assert biases[0] > biases[1] > biases[2]
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("RSRI_THREADS", "2")
-        assert _max_workers() == 2
-        monkeypatch.delenv("RSRI_THREADS")
-        assert _max_workers() >= 1
-
 
 class TestRunSweep:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -126,6 +120,14 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(prob, cfg, [4, 2], csv_path=out, log=None)
         assert not out.exists()
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        out.write_text("good\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(out, "\ud800")
+        assert out.read_text() == "good\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_matched_walk_count_rule(self):
         assert matched_walk_count(1000, 0.85) == round(1000 * 0.15 / 0.85)

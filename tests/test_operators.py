@@ -168,6 +168,23 @@ class TestApply:
         np.testing.assert_allclose(b, dense @ v, atol=1e-12)
         np.testing.assert_allclose(c, dense @ v, atol=1e-12)
 
+    def test_generic_backing_reads_only_nonzero_columns(self, np_rng):
+        dense = np_rng.random((1000, 1000)) * (np_rng.random((1000, 1000)) < 0.01)
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return SparseVector.from_dense(dense[:, j])
+
+        A = FunctionColumnMatrix(1000, column)
+        for k in (0, 1, 5):
+            v = np.zeros(1000)
+            support = np_rng.choice(1000, size=k, replace=False)
+            v[support] = np_rng.uniform(0.5, 1.0, k)
+            reads.clear()
+            np.testing.assert_allclose(apply(A, v), dense @ v, atol=1e-12)
+            assert sorted(reads) == sorted(support.tolist())
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply(identity(3), np.ones(2))

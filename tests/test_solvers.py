@@ -158,11 +158,25 @@ class TestRsri:
         np.testing.assert_array_equal(a.estimate.indices, b.estimate.indices)
         np.testing.assert_array_equal(a.estimate.values, b.estimate.values)
 
-    def test_sparse_accumulator_matches_dense(self):
-        prob = three_cycle_problem()
-        cfg = RsriConfig(m=2, t=60, t_min=30, seed=9, trials=1)
+    def test_sparse_accumulator_matches_dense(self, monkeypatch):
+        from rsri import build_problem, solvers, synth_bounded_outdegree
+
+        prob = build_problem(synth_bounded_outdegree(300, 3, seed=4), 0.85, source=0)
+        cfg = RsriConfig(m=8, t=300, t_min=100, seed=9, trials=1)
         dense_rep = rsri(prob.A, prob.b, cfg, RandomStream(9))
-        sparse_rep = rsri(prob.A, prob.b, cfg, RandomStream(9), dense_limit=0)
+
+        folded = []  # iterates absorbed per fold
+        fold = solvers._Accumulator._fold
+
+        def counting_fold(acc):
+            folded.append(len(acc.parts) - 1)
+            fold(acc)
+
+        monkeypatch.setattr(solvers, "DENSE_ACCUMULATOR_LIMIT", 0)
+        monkeypatch.setattr(solvers._Accumulator, "_fold", counting_fold)
+        sparse_rep = rsri(prob.A, prob.b, cfg, RandomStream(9))
+        assert sum(1 for k in folded if k > 1) >= 2
+        assert sum(folded) == cfg.t - cfg.t_min
         np.testing.assert_array_equal(dense_rep.estimate.indices, sparse_rep.estimate.indices)
         np.testing.assert_allclose(dense_rep.estimate.values, sparse_rep.estimate.values, rtol=1e-13)
 
