@@ -6,13 +6,14 @@ files), 2 numerical failure (reference solve did not converge).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import WalkCapError, mc_surfer, push_cd
-from .harness import run_sweep, tail_report
+from .harness import _write_atomic, run_sweep, tail_report
 from .operators import MatrixMarketError, diagnostics, load_matrix_market
 from .pagerank import DEFAULT_ALPHA, build_problem, load_edge_list
 from .sampling import RandomStream
@@ -30,44 +31,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsri", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_source=False):
-        p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-        p.add_argument("--m", default="32", help="sparsity level; comma list for sweep")
-        p.add_argument("--t", type=int, default=1000)
-        p.add_argument("--tmin", type=int, default=None, help="burn-in (default t/2)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--oracle-tol", type=float, default=1e-12)
-        if needs_source:
-            p.add_argument("--source", type=int, default=0)
+    flags = {
+        "--alpha": dict(type=float, default=DEFAULT_ALPHA),
+        "--source": dict(type=int, default=0),
+        "--m": dict(default="32", help="sparsity level (mc: walks); comma list for sweep"),
+        "--t": dict(type=int, default=1000, help="iterations (push: steps)"),
+        "--tmin": dict(type=int, default=None, help="burn-in (default t/2)"),
+        "--seed": dict(type=int, default=0),
+        "--oracle-tol": dict(type=float, default=1e-12),
+        "--out": dict(default=None),
+    }
+
+    def add_flags(p, names):
+        for name in names.split():
+            p.add_argument(name, **flags[name])
+
+    solver = "--m --t --tmin --seed --out"
 
     p_solve = sub.add_parser("solve", help="solve A x = b from Matrix Market + b file")
     p_solve.add_argument("matrix")
     p_solve.add_argument("rhs", help="text file of 'index value' lines, 0-based")
-    common(p_solve)
+    add_flags(p_solve, solver)
 
     p_pr = sub.add_parser("pagerank", help="personalized ranking from an edge list")
     p_pr.add_argument("edges")
     p_pr.add_argument("--topk", type=int, default=10)
-    common(p_pr, needs_source=True)
+    add_flags(p_pr, "--alpha --source " + solver)
 
     p_sweep = sub.add_parser("sweep", help="rmse vs sparsity level, CSV + SVG")
     p_sweep.add_argument("edges")
     p_sweep.add_argument("--trials", type=int, default=10)
-    common(p_sweep, needs_source=True)
+    add_flags(p_sweep, "--alpha --source --oracle-tol " + solver)
 
     p_tail = sub.add_parser("tail", help="tail decay of the reference solution")
     p_tail.add_argument("edges")
-    common(p_tail, needs_source=True)
+    add_flags(p_tail, "--alpha --source --oracle-tol --out")
 
     p_base = sub.add_parser("baseline", help="run a comparison algorithm")
     p_base.add_argument("kind", choices=["mc", "push"])
     p_base.add_argument("edges")
-    common(p_base, needs_source=True)
+    add_flags(p_base, "--alpha --source --oracle-tol --m --t --seed --out")
 
     p_diag = sub.add_parser("diagnose", help="contraction diagnostics for a matrix")
     p_diag.add_argument("matrix")
-    p_diag.add_argument("--out", default=None)
+    add_flags(p_diag, "--out")
 
     return parser
 
@@ -81,7 +88,10 @@ def _load_rhs(path, dim: int) -> SparseVector:
         tokens = stripped.split()
         if len(tokens) < 2:
             raise ValueError(f"rhs line {line_no}: expected 'index value'")
-        pairs.append((int(tokens[0]), float(tokens[1])))
+        value = float(tokens[1])
+        if not math.isfinite(value):
+            raise ValueError(f"rhs line {line_no}: non-finite value {tokens[1]!r}")
+        pairs.append((int(tokens[0]), value))
     return SparseVector.from_pairs(dim, pairs)
 
 
@@ -89,7 +99,7 @@ def _emit(text: str, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_atomic(out, text)
 
 
 def _estimate_csv(estimate: SparseVector) -> str:

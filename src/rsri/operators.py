@@ -302,6 +302,12 @@ def load_matrix_market(path) -> CscMatrix:
         if not (1 <= i <= n_rows and 1 <= j <= n_cols):
             raise EntryRangeError(f"entry ({i}, {j}) outside 1..{n_rows}")
         rows[k], cols[k], vals[k] = i - 1, j - 1, float(tokens[2])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        entry = body[int(bad[0]) + 1]  # body[0] is the size line
+        # no earlier line has the text of the first non-finite entry
+        line_no = lines.index(entry, 1) + 1
+        raise MatrixMarketError(f"line {line_no}: non-finite value in {entry!r}")
     return CscMatrix.from_triplets(n_rows, rows, cols, vals)
 
 

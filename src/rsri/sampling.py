@@ -1,10 +1,17 @@
 """Pivotal sampling and the seeded random-stream contract.
 
-Pivotal sampling selects exactly m indices with prescribed inclusion
-probabilities in a single pass, via sequential duels between the
-accumulated fractional mass and the next nonzero entry.  Selections are
-negatively correlated, which is what the sparsifier's variance analysis
-relies on.
+Pivotal sampling (Deville & Tille 1998) selects exactly m indices with
+prescribed inclusion probabilities through sequential duels: the unit
+holding the fractional carry meets the next nonzero entry, and one of
+the two either takes the pair's whole mass or is rounded up to one.
+Selections are negatively correlated, which is what the sparsifier's
+variance analysis relies on.
+
+The carry mass before each duel is not random: it is the fractional part
+of the prefix sum of the probabilities.  Only which unit holds it is.
+So every duel is decided at once from pre-drawn uniforms, the holder
+follows as a running maximum over the duels that move it, and a batch
+of draws is the same computation with a leading axis.
 """
 from __future__ import annotations
 
@@ -94,110 +101,61 @@ def _as_probs(p: Union[ProbabilityVector, np.ndarray]) -> ProbabilityVector:
 
 
 def pivotal_sample(p: Union[ProbabilityVector, np.ndarray], rng: RandomStream) -> np.ndarray:
-    """Draw a random index set S with |S| = round(sum p) and P{i in S} = p_i.
+    """Draw a sorted index set S with |S| = round(sum p) and P{i in S} = p_i.
 
-    One pass over the nonzero probabilities; zero entries are skipped
-    without consuming randomness, so zero padding never perturbs the draw
-    sequence.  The running fractional mass is kept with compensated
-    summation and the final duel forces |S| to exactly m even when the
-    input sums to m only up to rounding.
+    Reads ``nnz - 1`` uniforms from ``rng``, one per duel; zero entries
+    never enter a duel, so zero padding leaves the draw unchanged.  When
+    the probabilities sum to the target only up to rounding, the unit
+    left holding the carry completes the set.
     """
     pv = _as_probs(p)
     return _pivotal_core(pv.probs, pv.target_size, rng)
 
 
-def _pivotal_core(probs_full: np.ndarray, m: int, rng: RandomStream) -> np.ndarray:
+def _pivotal_core(
+    probs_full: np.ndarray, m: int, rng: RandomStream, draws: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Sorted positions of m selected entries, with shape ``draws + (m,)``."""
     nz = np.flatnonzero(probs_full)
     if nz.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(draws + (0,), dtype=np.int64)
     probs = probs_full[nz]
-    uniforms = rng.random(nz.size - 1) if nz.size > 1 else np.empty(0)
-
-    selected: list[int] = []
-    carry_idx = int(nz[0])
-    carry = float(probs[0])
-    comp = 0.0  # Kahan compensation for carry
-
-    def _add(delta: float):
-        nonlocal carry, comp
-        y = delta - comp
-        t = carry + y
-        comp = (t - carry) - y
-        carry = t
-
-    for k in range(1, nz.size):
-        pi = float(probs[k])
-        u = uniforms[k - 1]
-        total = carry + pi
-        if total < 1.0:
-            # one unit survives with the combined mass, the other drops to zero
-            if u * total >= carry:
-                carry_idx = int(nz[k])
-            _add(pi)
-        else:
-            # one unit is rounded up to 1, the other keeps total - 1
-            if u * (2.0 - total) < 1.0 - pi:
-                selected.append(carry_idx)
-                carry_idx = int(nz[k])
-            else:
-                selected.append(int(nz[k]))
-            _add(pi - 1.0)
-            if carry < 0.0:
-                carry, comp = 0.0, 0.0
-
-    if len(selected) == m - 1:
-        selected.append(carry_idx)  # residual mass ~ 1: forced completion
-    elif len(selected) != m:
-        raise RuntimeError(
-            f"pivotal sampling produced {len(selected)} selections for target {m}"
-        )
-    out = np.array(sorted(selected), dtype=np.int64)
-    return out
+    u = rng.random(draws + (nz.size - 1,) if draws else nz.size - 1)
+    # the carry mass before each duel is the fractional part of the prefix
+    # sum; the duels where its integer part steps up each fill one unit
+    prefix = np.cumsum(probs)
+    whole = np.floor(prefix)
+    carry = prefix[:-1] - whole[:-1]
+    new = probs[1:]
+    total = carry + new
+    fills = whole[1:] > whole[:-1]
+    # moves: the newcomer takes the carry; in a filling duel the old holder
+    # is then selected, in any other duel it drops out
+    moves = np.where(fills, u * (2.0 - total) < 1.0 - new, u * total >= carry)
+    holder = np.zeros(draws + (nz.size,), dtype=np.int64)
+    holder[..., 1:] = np.where(moves, np.arange(1, nz.size), 0)
+    np.maximum.accumulate(holder, axis=-1, out=holder)
+    hi = np.flatnonzero(fills)  # duel hi is between holder[..., hi] and entry hi + 1
+    chosen = np.where(moves.take(hi, axis=-1), holder.take(hi, axis=-1), hi + 1)
+    count = hi.size
+    if count == m - 1:
+        # residual mass ~ 1: the last carry holder completes the set
+        chosen = np.concatenate([chosen, holder[..., -1:]], axis=-1)
+    elif count != m:
+        raise RuntimeError(f"pivotal sampling produced {count} selections for target {m}")
+    return nz[np.sort(chosen, axis=-1)]
 
 
 def pivotal_sample_batch(
     p: Union[ProbabilityVector, np.ndarray], rng: RandomStream, draws: int
 ) -> np.ndarray:
-    """Vectorized pivotal sampling: a (draws, dim) boolean selection matrix.
+    """Many pivotal draws at once: a (draws, dim) boolean selection matrix.
 
-    Same duel recursion as :func:`pivotal_sample` run across many draws at
-    once; used by the calibration and variance estimators where millions
-    of draws are needed.  The two paths consume randomness in different
-    orders, so draws are not sample-for-sample identical across them.
+    Row r is the set :func:`pivotal_sample` would return as the r-th of
+    ``draws`` consecutive calls on the same stream; meant for calibration
+    and variance checks that need many draws.
     """
     pv = _as_probs(p)
-    m = pv.target_size
-    nz = np.flatnonzero(pv.probs)
     sel = np.zeros((draws, pv.dim), dtype=bool)
-    if nz.size == 0 or draws == 0:
-        return sel
-    probs = pv.probs[nz]
-    u = rng.random((draws, nz.size - 1)) if nz.size > 1 else np.empty((draws, 0))
-
-    rows = np.arange(draws)
-    carry_idx = np.full(draws, nz[0], dtype=np.int64)
-    carry = np.full(draws, probs[0])
-    for k in range(1, nz.size):
-        pi = probs[k]
-        uk = u[:, k - 1]
-        total = carry + pi
-        hi = total >= 1.0
-        lo = ~hi
-        switch = lo & (uk * total >= carry)
-        carry_idx[switch] = nz[k]
-        carry[lo] = total[lo]
-
-        take_carry = hi & (uk * (2.0 - total) < 1.0 - pi)
-        take_new = hi & ~take_carry
-        sel[rows[take_carry], carry_idx[take_carry]] = True
-        carry_idx[take_carry] = nz[k]
-        sel[rows[take_new], nz[k]] = True
-        carry[hi] = np.maximum(total[hi] - 1.0, 0.0)
-
-    counts = sel.sum(axis=1)
-    force = counts == m - 1
-    sel[rows[force], carry_idx[force]] = True
-    counts = sel.sum(axis=1)
-    if not np.all(counts == m):
-        raise RuntimeError("pivotal sampling batch produced off-target set sizes")
+    np.put_along_axis(sel, _pivotal_core(pv.probs, pv.target_size, rng, (draws,)), True, axis=1)
     return sel

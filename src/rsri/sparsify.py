@@ -129,11 +129,5 @@ def sparsify_l2_bound(v: SparseVector, m: int) -> float:
     """Mean-square sparsification error bound min_i tail(i)^2 / (m - i)."""
     if m < 1:
         raise ValueError(f"sparsity level m must be >= 1, got {m}")
-    tails = tail_sums(v)
-    best = math.inf
-    for i in range(min(m, v.nnz) + 1):
-        if i >= m:
-            break
-        t = tails[i] if i < tails.size else 0.0
-        best = min(best, t * t / (m - i))
-    return best
+    i = np.arange(min(m - 1, v.nnz) + 1)
+    return float(np.min(tail_sums(v)[i] ** 2 / (m - i)))

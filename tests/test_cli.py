@@ -1,6 +1,6 @@
 import pytest
 
-from rsri.cli import cli_main
+from rsri.cli import _emit, cli_main
 
 THREE_CYCLE = "0 1\n1 2\n2 0\n"
 IDENTITY_MM = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
@@ -36,6 +36,13 @@ class TestDiagnose:
         bad.write_text("garbage\n")
         assert cli_main(["diagnose", str(bad)]) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix(self, tmp_path, capsys, bad):
+        path = tmp_path / "nan.mtx"
+        path.write_text(IDENTITY_MM.replace("2 2 1.0", f"2 2 {bad}"))
+        assert cli_main(["diagnose", str(path)]) == 1
+        assert "line 4: non-finite" in capsys.readouterr().err
+
 
 class TestArgumentErrors:
     def test_unknown_flag(self, cycle_file):
@@ -56,6 +63,31 @@ class TestArgumentErrors:
     def test_trials_only_on_sweep(self, command, capsys):
         assert cli_main(command + ["--trials", "3"]) == 1
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        (["tail", "edges.txt"], "--m"),
+        (["tail", "edges.txt"], "--t"),
+        (["tail", "edges.txt"], "--tmin"),
+        (["tail", "edges.txt"], "--seed"),
+        (["baseline", "push", "edges.txt"], "--tmin"),
+        (["solve", "id.mtx", "b.txt"], "--alpha"),
+        (["solve", "id.mtx", "b.txt"], "--oracle-tol"),
+        (["pagerank", "edges.txt"], "--oracle-tol"),
+        (["diagnose", "id.mtx"], "--seed"),
+    ])
+    def test_unread_flags_rejected(self, command, flag, capsys):
+        assert cli_main(command + [flag, "1"]) == 1
+        assert flag in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    def test_failed_emit_keeps_old_file(self, tmp_path):
+        out = tmp_path / "est.csv"
+        out.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _emit("\ud800", out)  # a lone surrogate cannot be encoded
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 
 
 class TestPagerank:
@@ -97,6 +129,15 @@ class TestSolve:
         rhs = tmp_path / "b.txt"
         rhs.write_text("0\n")
         assert cli_main(["solve", identity_file, str(rhs)]) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_rhs(self, identity_file, tmp_path, capsys, bad):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text(f"0 0.25\n1 {bad}\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["solve", identity_file, str(rhs), "--out", str(out)]) == 1
+        assert "rhs line 2: non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

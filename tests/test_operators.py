@@ -244,3 +244,12 @@ class TestMatrixMarket:
         save_matrix_market(A, path)
         back = load_matrix_market(path)
         np.testing.assert_allclose(densify(back), dense, atol=0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n% comment\n"
+            f"2 2 2\n1 1 0.5\n2 1 {bad}\n"
+        )
+        with pytest.raises(MatrixMarketError, match="line 5: non-finite"):
+            load_matrix_market(write(tmp_path, "nan.mtx", text))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsri import (
     ProbabilityVector,
     RandomStream,
+    SparseVector,
     pivotal_sample,
     pivotal_sample_batch,
+    preservation_split,
     spawn_stream,
 )
 
@@ -27,6 +31,28 @@ class FixedStream:
         out = np.array(self.uniforms[: int(size)])
         del self.uniforms[: int(size)]
         return out
+
+
+def sequential_pivotal(p, u):
+    """Reference: the duel loop of Deville & Tille (1998), one duel at a time."""
+    nz = np.flatnonzero(p)
+    holder, carry, chosen = nz[0], p[nz[0]], []
+    for k, uk in zip(nz[1:], u):
+        total = carry + p[k]
+        if total < 1.0:
+            if uk * total >= carry:
+                holder = k
+            carry = total
+        else:
+            if uk * (2.0 - total) < 1.0 - p[k]:
+                chosen.append(holder)
+                holder = k
+            else:
+                chosen.append(k)
+            carry = total - 1.0
+    if len(chosen) < round(p.sum()):
+        chosen.append(holder)
+    return sorted(chosen)
 
 
 class TestProbabilityVector:
@@ -131,6 +157,81 @@ class TestPivotalSample:
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(batch - p) <= 4 * sigma)
         assert np.all(np.abs(single - p) <= 4 * sigma)
+
+    def test_matches_sequential_duel_loop(self, np_rng):
+        for seed in range(200):
+            n = int(np_rng.integers(2, 200))
+            p = random_probability_vector(np_rng, n, int(np_rng.integers(1, n // 2 + 1)))
+            u = RandomStream(seed).random(n - 1)
+            assert pivotal_sample(p, RandomStream(seed)).tolist() == sequential_pivotal(p, u)
+
+    @pytest.mark.parametrize("p", [
+        np.array([0.2, 0.8, 0.6, 0.4]),
+        np.full(5, 0.2),
+        np.array([0.0, 0.5, 0.0, 0.0, 0.5]),
+        np.array([1.0 - 2.0**-53]),
+        np.full(12, 0.25),
+    ])
+    def test_batch_rows_are_consecutive_single_draws(self, p):
+        draws = 40
+        batch = pivotal_sample_batch(p, RandomStream(21), draws)
+        rng = RandomStream(21)
+        for row in batch:
+            np.testing.assert_array_equal(np.flatnonzero(row), pivotal_sample(p, rng))
+
+
+@st.composite
+def sampler_cases(draw):
+    """Residual probabilities from the sparsifier's split, plus zero padding.
+
+    Integer magnitudes (ties likely) are scaled into the 1e-300 and the
+    subnormal range; a drifted case lowers the largest probability until
+    the float prefix sum ends below the target, which forces completion;
+    a single case holds one nonzero probability an ulp or more below one.
+    """
+    kind = draw(st.sampled_from(["split", "drift", "single"]))
+    if kind == "single":
+        probs = np.array([1.0 - draw(st.sampled_from([2.0**-53, 1e-12, 1e-10]))])
+    else:
+        n = draw(st.integers(min_value=2, max_value=40))
+        ints = draw(st.lists(
+            st.one_of(st.sampled_from([3, 3, 7]), st.integers(1, 10**6)),
+            min_size=n, max_size=n,
+        ))
+        scale = draw(st.sampled_from([1.0, 0.1, 1e-300, 5e-324]))
+        v = SparseVector.from_pairs(n, list(enumerate(np.array(ints) * scale)))
+        probs = preservation_split(v, draw(st.integers(1, n - 1))).residual_probs.copy()
+        if kind == "drift" and probs.size:
+            target = round(probs.sum())
+            top = int(np.argmax(probs))
+            for _ in range(64):
+                if np.cumsum(probs)[-1] < target:
+                    break
+                probs[top] = np.nextafter(probs[top], 0.0)
+            assume(np.cumsum(probs)[-1] < target)
+    pad = draw(st.lists(st.integers(0, 3), min_size=probs.size, max_size=probs.size))
+    positions = np.arange(probs.size) + np.cumsum(pad)
+    padded = np.zeros(probs.size + sum(pad) + draw(st.integers(0, 3)))
+    padded[positions] = probs
+    return probs, padded, positions, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPivotalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sampler_cases())
+    def test_exact_size_nonzero_support_and_padding(self, case):
+        probs, padded, positions, seed = case
+        target = ProbabilityVector(probs.size, probs).target_size
+        rng, padded_rng = RandomStream(seed), RandomStream(seed)
+        for _ in range(5):
+            s = pivotal_sample(probs, rng)
+            assert s.size == target
+            assert np.all(np.diff(s) > 0)
+            assert np.all(probs[s] > 0.0)
+            np.testing.assert_array_equal(pivotal_sample(padded, padded_rng), positions[s])
+        batch = pivotal_sample_batch(padded, RandomStream(seed), 5)
+        assert np.all(batch.sum(axis=1) == target)
+        assert not batch[:, padded == 0.0].any()
 
 
 class TestRandomStream:
