@@ -14,12 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .operators import ColumnMatrix
+from .pagerank import STOCHASTIC_TOL
 from .sampling import RandomStream
 from .vectors import SparseVector
 
 __all__ = ["ResidualTrace", "WalkCapError", "mc_surfer", "push_cd"]
-
-STOCHASTIC_TOL = 1e-9
 
 
 class WalkCapError(RuntimeError):
@@ -42,12 +41,12 @@ def _validate_walk_inputs(s: SparseVector, alpha: float):
         raise ValueError("s must be a probability vector")
 
 
-def _column_cdf(P: ColumnMatrix, j: int):
+def _stochastic_column(P: ColumnMatrix, j: int) -> SparseVector:
     col = P.column(j)
     total = float(col.values.sum()) if col.nnz else 0.0
     if abs(total - 1.0) > STOCHASTIC_TOL or (col.nnz and col.values.min() < 0.0):
         raise ValueError(f"column {j} of P is not stochastic (sum {total!r})")
-    return col.indices, np.cumsum(col.values)
+    return col
 
 
 def mc_surfer(
@@ -89,7 +88,8 @@ def mc_surfer(
         for j in np.unique(current):
             j = int(j)
             if j not in cdf_cache:
-                cdf_cache[j] = _column_cdf(P, j)
+                col = _stochastic_column(P, j)
+                cdf_cache[j] = (col.indices, np.cumsum(col.values))
             idx, cdf = cdf_cache[j]
             mask = current == j
             picks = np.searchsorted(cdf, rng.random(int(mask.sum())) * cdf[-1], side="right")
@@ -131,7 +131,7 @@ def push_cd(
     rec_steps = np.arange(steps + 1)
     rec_res = np.empty(steps + 1)
     rec_err = np.empty(steps + 1) if track_error else None
-    cdf_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    columns: dict[int, SparseVector] = {}
 
     done = 0
     for step in range(steps + 1):
@@ -147,14 +147,10 @@ def push_cd(
             break
         x_hat[i] += rho
         r[i] = 0.0
-        if i not in cdf_cache:
-            col = P.column(i)
-            total = float(col.values.sum()) if col.nnz else 0.0
-            if abs(total - 1.0) > STOCHASTIC_TOL or (col.nnz and col.values.min() < 0.0):
-                raise ValueError(f"column {i} of P is not stochastic (sum {total!r})")
-            cdf_cache[i] = (col.indices, col.values)
-        idx, vals = cdf_cache[i]
-        r[idx] += alpha * rho * vals
+        if i not in columns:
+            columns[i] = _stochastic_column(P, i)
+        col = columns[i]
+        r[col.indices] += alpha * rho * col.values
 
     trace = ResidualTrace(
         steps=rec_steps[: done + 1],

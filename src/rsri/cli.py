@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import WalkCapError, mc_surfer, push_cd
-from .harness import _write_atomic, run_sweep, tail_report
+from .harness import _fmt, _write_atomic, run_sweep, tail_report
 from .operators import MatrixMarketError, diagnostics, load_matrix_market
 from .pagerank import DEFAULT_ALPHA, build_problem, load_edge_list
 from .sampling import RandomStream
@@ -21,10 +21,6 @@ from .solvers import NonConvergenceError, RsriConfig, reference_solve, rsri
 from .vectors import SparseVector
 
 __all__ = ["cli_main", "main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -121,8 +121,9 @@ def run_sweep(
     """One RMSE row per sparsity level, optionally written as CSV and SVG.
 
     The problem must carry a transition matrix (P, s, alpha) so a
-    matched-cost Monte Carlo column can be produced.  Partial output
-    files are removed if anything fails mid-sweep.
+    matched-cost Monte Carlo column can be produced.  Nothing is written
+    until every row exists, and each file is then replaced atomically, so
+    a sweep that fails midway leaves existing files untouched.
     """
     if not m_list or list(m_list) != sorted(m_list):
         raise ValueError("m_list must be nonempty and ascending")

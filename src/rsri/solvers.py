@@ -10,6 +10,7 @@ onward gives the returned estimate.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -96,20 +97,26 @@ def richardson(A: ColumnMatrix, b: SparseVector, t: int) -> np.ndarray:
 def reference_solve(
     A: ColumnMatrix, b: SparseVector, tol: float = 1e-12, max_iter: int = 200_000
 ) -> np.ndarray:
-    """Richardson until the 1-norm residual drops below tol (oracle solves)."""
+    """Richardson until the 1-norm residual drops below tol (oracle solves).
+
+    Raises NonConvergenceError after max_iter steps, or as soon as the
+    residual overflows, which happens when G = I - A is not a contraction.
+    """
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     b_dense = b.to_dense()
     x = b_dense.copy()
-    for _ in range(max_iter):
-        residual = b_dense - apply(A, x)
-        res_norm = float(np.abs(residual).sum())
-        if res_norm <= tol:
-            return x
-        x = x + residual
-    res_norm = float(np.abs(b_dense - apply(A, x)).sum())
-    if res_norm <= tol:
-        return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_iter + 1):
+            residual = b_dense - apply(A, x)
+            res_norm = float(np.abs(residual).sum())
+            if res_norm <= tol:
+                return x
+            if not math.isfinite(res_norm):
+                raise NonConvergenceError(
+                    f"residual diverged to {res_norm} after {step} iterations", res_norm
+                )
+            x = x + residual
     raise NonConvergenceError(
         f"no convergence within {max_iter} iterations (residual {res_norm:.3e})", res_norm
     )

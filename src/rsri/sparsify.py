@@ -1,21 +1,22 @@
 """Unbiased random sparsification with exact preservation of large entries.
 
-The split keeps pulling the largest remaining magnitude into the exact
-set D while it is at least 1/(m - q) times the remaining mass; everything
-else is kept or dropped by pivotal sampling with probabilities
-proportional to magnitude, then rescaled so the output is unbiased.  The
-output has at most m nonzeros and the same 1-norm as the input on every
-single draw.
+Everything is read off the decreasing rearrangement of |v| and its tails
+T(k), the mass left after the k largest magnitudes; ``tail_sums`` and the
+split share one computation of both.  The split admits the k-th largest
+magnitude into the exact set D while |v|_(k) (m - k) >= T(k); with q the
+first failure, the rest is kept or dropped by pivotal sampling with
+probabilities (m - q) |v_i| / T(q), then rescaled so the output is
+unbiased.  The output has at most m nonzeros and the same 1-norm as the
+input on every single draw.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import ProbabilityVector, RandomStream, _pivotal_core
-from .vectors import SparseVector, tail_sums
+from .vectors import SparseVector, _rearrangement, tail_sums
 
 __all__ = [
     "PreservationSplit",
@@ -30,8 +31,9 @@ class PreservationSplit:
     """Exact-preservation set plus inclusion probabilities for the rest.
 
     ``exact_indices`` hold the q largest magnitudes (ties resolved toward
-    lower index); every residual probability is (m - q) |v_i| / rest and
-    is strictly below one except in the degenerate all-admitted case.
+    lower index); every residual probability is (m - q) |v_i| / T(q),
+    with T(q) the tail of the same rearrangement that decided admission,
+    and is strictly below one except in the degenerate all-admitted case.
     """
 
     dim: int
@@ -47,23 +49,6 @@ class PreservationSplit:
         return ProbabilityVector(int(self.residual_indices.size), self.residual_probs)
 
 
-def _top_candidates(v: SparseVector, count: int) -> np.ndarray:
-    """Positions of the ``count`` largest magnitudes, ordered by
-    decreasing magnitude with ties broken by lower index."""
-    a = np.abs(v.values)
-    n = a.size
-    if n <= count:
-        pos = np.arange(n)
-    else:
-        part = np.argpartition(a, n - count)[n - count:]
-        boundary = a[part].min()
-        strict = np.flatnonzero(a > boundary)
-        tied = np.flatnonzero(a == boundary)  # storage order = index order
-        pos = np.concatenate([strict, tied[: count - strict.size]])
-    order = np.lexsort((v.indices[pos], -a[pos]))
-    return pos[order][:count]
-
-
 def preservation_split(v: SparseVector, m: int) -> PreservationSplit:
     """Split v into the minimal exact set D and residual probabilities."""
     if m < 1:
@@ -77,26 +62,19 @@ def preservation_split(v: SparseVector, m: int) -> PreservationSplit:
         return PreservationSplit(v.dim, v.indices.copy(), empty_i, empty_f)
 
     a = np.abs(v.values)
-    top = _top_candidates(v, m)
-    top_abs = a[top]
-    total = math.fsum(a.tolist())
-    # rest_q = remaining mass before admitting candidate q
-    rest = total - np.cumsum(top_abs) + top_abs
-    ks = np.arange(top.size)
-    admit = top_abs * (m - ks) >= rest
+    order, tails = _rearrangement(v)
+    # admit the k-th largest while |v|_(k) (m - k) >= T(k); q is the first failure
+    admit = a[order[:m]] * (m - np.arange(m)) >= tails[:m]
     failures = np.flatnonzero(~admit)
-    q = int(failures[0]) if failures.size else int(top.size)
+    q = int(failures[0]) if failures.size else m
 
-    exact_pos = np.sort(top[:q])
-    keep = np.ones(n, dtype=bool)
-    keep[exact_pos] = False
-    res_pos = np.flatnonzero(keep)
-    rest_exact = math.fsum(a[res_pos].tolist())
-    if q >= m or rest_exact <= 0.0:
+    exact_pos = np.sort(order[:q])
+    res_pos = np.sort(order[q:])
+    if q >= m or tails[q] <= 0.0:
         # degenerate: float drift admitted a full set; drop the residual tail
         probs = np.zeros(res_pos.size)
     else:
-        probs = (m - q) * a[res_pos] / rest_exact
+        probs = (m - q) * a[res_pos] / tails[q]
         np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)  # guard float roundup
     return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs)
 

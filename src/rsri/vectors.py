@@ -129,6 +129,17 @@ def norms(v: SparseVector) -> VectorNorms:
     )
 
 
+def _rearrangement(v: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+    """Storage positions by decreasing ``|v|`` (ties: lower index, as
+    indices are sorted) and the tails T of that order (see tail_sums)."""
+    a = np.abs(v.values)
+    order = np.argsort(-a, kind="stable")
+    tails = np.zeros(v.nnz + 1)
+    # reverse cumulative sum: monotone nonincreasing by construction
+    tails[:-1] = np.cumsum(a[order][::-1])[::-1]
+    return order, tails
+
+
 def tail_sums(v: SparseVector) -> np.ndarray:
     """Tails of the decreasing rearrangement of ``|v|``.
 
@@ -137,13 +148,7 @@ def tail_sums(v: SparseVector) -> np.ndarray:
     Magnitude ties are broken by lower original index, which makes the
     rearrangement (and everything derived from it) deterministic.
     """
-    a = np.abs(v.values)
-    order = np.lexsort((v.indices, -a))
-    sorted_abs = a[order]
-    tails = np.zeros(v.nnz + 1)
-    # reverse cumulative sum: monotone nonincreasing by construction
-    tails[:-1] = np.cumsum(sorted_abs[::-1])[::-1]
-    return tails
+    return _rearrangement(v)[1]
 
 
 def combine(alpha: float, u: SparseVector, beta: float, w: SparseVector) -> SparseVector:

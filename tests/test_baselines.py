@@ -153,3 +153,9 @@ class TestPushCd:
         prob = three_cycle_problem()
         with pytest.raises(ValueError):
             push_cd(prob.P, prob.s, 0.85, -1)
+
+    def test_rejects_nonstochastic_column(self):
+        P = CscMatrix.from_dense(np.array([[0.9, 0.0], [0.0, 1.0]]))
+        s = SparseVector.basis(2, 0)
+        with pytest.raises(ValueError, match="not stochastic"):
+            push_cd(P, s, 0.85, 10)

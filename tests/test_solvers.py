@@ -96,6 +96,24 @@ class TestReferenceSolve:
             reference_solve(A, b, tol=1e-12, max_iter=50)
         assert err.value.residual > 0.1
 
+    def test_divergence_fails_fast(self, monkeypatch):
+        from rsri import apply, solvers
+
+        calls = []
+
+        def counting_apply(A, x):
+            calls.append(1)
+            return apply(A, x)
+
+        # ||G||_1 = 2: the residual doubles each step and overflows
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        b = sparse_from(2, [(0, 1.0)])
+        monkeypatch.setattr(solvers, "apply", counting_apply)
+        with pytest.raises(NonConvergenceError) as err:
+            reference_solve(A, b)
+        assert not math.isfinite(err.value.residual)
+        assert len(calls) < 5000
+
 
 class TestRsri:
     def test_identity_returns_rhs_with_zero_variance(self):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def brute_l2_bound(pairs, m):
         tail = sum(mags[i:])
         best = min(best, tail * tail / (m - i))
     return best
+
+
+def rational_exact_set(v, m):
+    """Independent oracle for D: the admission rule in exact arithmetic,
+    ties broken toward the lower index."""
+    a = [Fraction(abs(x)) for x in v.values.tolist()]
+    order = sorted(range(len(a)), key=lambda i: (-a[i], i))
+    tail = sum(a)
+    q = 0
+    while q < m and a[order[q]] * (m - q) >= tail:
+        tail -= a[order[q]]
+        q += 1
+    return sorted(v.indices[order[:q]].tolist())
 
 
 values = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -83,6 +97,31 @@ class TestPreservationSplit:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             preservation_split(worked_vector(), 0)
+
+    def test_fast_decay_keeps_integer_probability_sum(self):
+        # fast decay: tails formed as ||v||_1 minus the top entries cancel
+        # here, which admits too few entries and breaks sum(p) = m - q
+        mags = ("0x1.db0bd0c0ce034p-55", "0x1.0dfca82a2c8e4p-52",
+                "0x1.222125d8ca302p-4", "0x1.a037a738886d9p-53")
+        v = SparseVector(4, [0, 1, 2, 3], [float.fromhex(h) for h in mags])
+        split = preservation_split(v, 3)
+        assert split.exact_indices.tolist() == [1, 2]
+        split.residual_vector()  # validates: probabilities sum to m - q = 1
+
+    @pytest.mark.parametrize("kind", ["exp", "dyadic"])
+    def test_exact_set_matches_rational_reference(self, kind):
+        rng = np.random.default_rng({"exp": 20231, "dyadic": 20232}[kind])
+        for _ in range(1000):
+            n = int(rng.integers(5, 40))
+            m = int(rng.integers(1, n))
+            if kind == "exp":
+                mags = np.exp(-rng.uniform(0, 40, n))
+            else:
+                mags = 2.0 ** -rng.integers(0, 60, n) * (1 + 1e-15 * rng.standard_normal(n))
+            signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            v = SparseVector.from_dense(signs * mags)
+            split = preservation_split(v, m)
+            assert split.exact_indices.tolist() == rational_exact_set(v, m), (n, m)
 
     @settings(max_examples=80, deadline=None)
     @given(vectors_and_m())
