@@ -1,12 +1,12 @@
 """Command-line driver for the solver, baselines, sweeps, and diagnostics.
 
 Exit codes: 0 success, 1 input error (bad flags, unreadable or malformed
-files), 2 numerical failure (reference solve did not converge).
+files), 2 numerical failure (reference solve did not converge, or the
+sparsified iteration diverged).
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import WalkCapError, mc_surfer, push_cd
 from .harness import _fmt, _write_atomic, run_sweep, tail_report
-from .operators import MatrixMarketError, diagnostics, load_matrix_market
+from .operators import MatrixMarketError, _read_table, diagnostics, load_matrix_market
 from .pagerank import DEFAULT_ALPHA, build_problem, load_edge_list
 from .sampling import RandomStream
 from .solvers import NonConvergenceError, RsriConfig, reference_solve, rsri
@@ -76,19 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_rhs(path, dim: int) -> SparseVector:
-    pairs = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) < 2:
-            raise ValueError(f"rhs line {line_no}: expected 'index value'")
-        value = float(tokens[1])
-        if not math.isfinite(value):
-            raise ValueError(f"rhs line {line_no}: non-finite value {tokens[1]!r}")
-        pairs.append((int(tokens[0]), value))
-    return SparseVector.from_pairs(dim, pairs)
+    fields = np.dtype([("index", np.int64), ("value", np.float64)])
+    table = _read_table(path, fields, "#", where="rhs line")
+    table = np.sort(table[table["value"] != 0.0], order="index")
+    return SparseVector(dim, table["index"], table["value"])
 
 
 def _emit(text: str, out):

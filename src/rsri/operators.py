@@ -7,6 +7,7 @@ column index; the analysis treats the matrix as fixed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -178,14 +179,23 @@ def g_column(A: ColumnMatrix, j: int) -> SparseVector:
     return combine(1.0, SparseVector.basis(A.dim, j), -1.0, A.column(j))
 
 
+def _abs_g_entries(A: ColumnMatrix):
+    """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|, one read per column."""
+    cols = [A.column(j) for j in range(A.dim)]
+    ids = np.arange(A.dim)
+    G = CscMatrix.from_triplets(  # sums the diagonal, drops exact zeros, sorts rows
+        A.dim,
+        np.concatenate([ids, *(c.indices for c in cols)]),
+        np.concatenate([ids, np.repeat(ids, [c.nnz for c in cols])]),
+        np.concatenate([np.ones(A.dim), *(-c.values for c in cols)]),
+    )
+    return G.indices, G.column_ids(), np.abs(G.data)
+
+
 def matrix_norm1_of_g(A: ColumnMatrix) -> float:
     """Max absolute column sum of I - A (full column sweep; diagnostics only)."""
-    best = 0.0
-    for j in range(A.dim):
-        col = g_column(A, j)
-        if col.nnz:
-            best = max(best, float(np.abs(col.values).sum()))
-    return best
+    _, ids, mags = _abs_g_entries(A)
+    return float(np.bincount(ids, weights=mags, minlength=A.dim).max())
 
 
 @dataclass(frozen=True)
@@ -203,23 +213,23 @@ def diagnostics(A: ColumnMatrix, series_terms: int = 10_000, term_tol: float = 1
     vector of column-sum functionals through abs(G), never by forming
     powers; it is reported as +inf when not converged by the term cap.
     """
-    g1 = matrix_norm1_of_g(A)
+    rows, ids, mags = _abs_g_entries(A)
+    g1 = float(np.bincount(ids, weights=mags, minlength=A.dim).max())
     simple = 1.0 / (1.0 - g1 * g1) if g1 < 1.0 else math.inf
 
-    g_cols = [g_column(A, j) for j in range(A.dim)]
     u = np.ones(A.dim)
     series = 0.0
     converged = False
-    for _ in range(series_terms + 1):
-        term = float(u.max()) ** 2 if u.size else 0.0
-        if not math.isfinite(term):
-            break
-        series += term
-        if term < term_tol:
-            converged = True
-            break
-        u = np.array([float(np.dot(u[c.indices], np.abs(c.values))) if c.nnz else 0.0
-                      for c in g_cols])
+    with np.errstate(over="ignore"):  # a diverging series overflows to inf
+        for _ in range(series_terms + 1):
+            term = float(np.square(u.max()))
+            if not math.isfinite(term):
+                break
+            series += term
+            if term < term_tol:
+                converged = True
+                break
+            u = np.bincount(ids, weights=u[rows] * mags, minlength=A.dim)
     return ContractionDiagnostics(
         g_norm1=g1,
         m_g_simple=simple,
@@ -251,6 +261,39 @@ def densify(A: ColumnMatrix) -> np.ndarray:
     return out
 
 
+def _read_table(path, dtype, comment, skip=0, exact=False, error=ValueError, where="line"):
+    """The leading columns of a whitespace text table as a structured array.
+
+    Rows need one column per field of ``dtype`` (more are ignored unless
+    ``exact``); blank lines, comments and the first ``skip`` lines are not
+    rows.  One ``np.loadtxt`` call parses valid input; on failure, or on a
+    non-finite float, a rescan raises ``error`` naming the first bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's call
+            table = np.loadtxt(path, dtype=dtype, comments=comment, skiprows=skip, ndmin=1,
+                               usecols=None if exact else range(len(dtype)))
+        if all(np.isfinite(table[name]).all() for name in dtype.names if dtype[name].kind == "f"):
+            return table
+    except ValueError:
+        pass
+    lines = Path(path).read_text().split("\n")  # the line breaks np.loadtxt sees
+    for line_no, line in enumerate(lines[skip:], start=skip + 1):
+        tokens = line.split(comment, 1)[0].split()
+        if tokens and (len(tokens) < len(dtype) or exact and len(tokens) > len(dtype)):
+            raise error(f"{where} {line_no}: expected '{' '.join(dtype.names)}' in {line!r}")
+        for name, tok in zip(dtype.names, tokens):
+            try:  # np.loadtxt takes neither digit separators nor non-ASCII digits
+                value = dtype[name].type(tok if tok.isascii() and "_" not in tok else "?")
+            except (ValueError, OverflowError):
+                what = "integer" if dtype[name].kind == "i" else "numeric"
+                raise error(f"{where} {line_no}: non-{what} {name!r} in {line!r}") from None
+            if not np.isfinite(value):
+                raise error(f"{where} {line_no}: non-finite {name!r} in {line!r}")
+    raise error(f"{path}: malformed table")
+
+
 def load_matrix_market(path) -> CscMatrix:
     """Read a coordinate real general Matrix Market file into CSC form.
 
@@ -258,57 +301,46 @@ def load_matrix_market(path) -> CscMatrix:
     summed.  Malformed headers, non-square sizes, out-of-range indices and
     pattern-only files each raise a distinct error.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise MatrixMarketHeaderError("empty file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
-        raise MatrixMarketHeaderError(f"malformed header: {lines[0]!r}")
-    obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
-    if obj != "matrix" or fmt != "coordinate":
-        raise MatrixMarketHeaderError(f"unsupported kind: {obj} {fmt}")
-    if field == "pattern":
-        raise PatternValuesError("values required: pattern files are not supported")
-    if field not in ("real", "integer"):
-        raise MatrixMarketHeaderError(f"unsupported field: {field}")
-    if symmetry != "general":
-        raise MatrixMarketHeaderError(f"unsupported symmetry: {symmetry}")
-
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise MatrixMarketHeaderError("missing size line")
-    size_tokens = body[0].split()
-    if len(size_tokens) != 3:
-        raise MatrixMarketHeaderError(f"malformed size line: {body[0]!r}")
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise MatrixMarketHeaderError("empty file")
+        header = first.split()
+        if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+            raise MatrixMarketHeaderError(f"malformed header: {first.rstrip()!r}")
+        obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
+        if obj != "matrix" or fmt != "coordinate":
+            raise MatrixMarketHeaderError(f"unsupported kind: {obj} {fmt}")
+        if field == "pattern":
+            raise PatternValuesError("values required: pattern files are not supported")
+        if field not in ("real", "integer"):
+            raise MatrixMarketHeaderError(f"unsupported field: {field}")
+        if symmetry != "general":
+            raise MatrixMarketHeaderError(f"unsupported symmetry: {symmetry}")
+        for skip, size_line in enumerate(fh, start=2):  # skip: lines through the size line
+            if size_line.strip() and not size_line.lstrip().startswith("%"):
+                break
+        else:
+            raise MatrixMarketHeaderError("missing size line")
     try:
-        n_rows, n_cols, n_entries = (int(tok) for tok in size_tokens)
+        n_rows, n_cols, n_entries = (int(tok) for tok in size_line.split())
     except ValueError as exc:
-        raise MatrixMarketHeaderError(f"malformed size line: {body[0]!r}") from exc
+        raise MatrixMarketHeaderError(f"malformed size line: {size_line.rstrip()!r}") from exc
     if n_rows != n_cols:
         raise NonSquareMatrixError(f"matrix is {n_rows} x {n_cols}, expected square")
-    if len(body) - 1 != n_entries:
-        raise MatrixMarketError(
-            f"entry count mismatch: header says {n_entries}, file has {len(body) - 1}"
-        )
 
-    rows = np.empty(n_entries, dtype=np.int64)
-    cols = np.empty(n_entries, dtype=np.int64)
-    vals = np.empty(n_entries)
-    for k, ln in enumerate(body[1:]):
-        tokens = ln.split()
-        if len(tokens) != 3:
-            raise MatrixMarketError(f"malformed entry line: {ln!r}")
-        i, j = int(tokens[0]), int(tokens[1])
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise EntryRangeError(f"entry ({i}, {j}) outside 1..{n_rows}")
-        rows[k], cols[k], vals[k] = i - 1, j - 1, float(tokens[2])
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        entry = body[int(bad[0]) + 1]  # body[0] is the size line
-        # no earlier line has the text of the first non-finite entry
-        line_no = lines.index(entry, 1) + 1
-        raise MatrixMarketError(f"line {line_no}: non-finite value in {entry!r}")
-    return CscMatrix.from_triplets(n_rows, rows, cols, vals)
+    fields = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+    entries = _read_table(path, fields, "%", skip=skip, exact=True, error=MatrixMarketError)
+    if entries.size != n_entries:
+        raise MatrixMarketError(
+            f"entry count mismatch: header says {n_entries}, file has {entries.size}"
+        )
+    rows, cols = entries["row"] - 1, entries["col"] - 1
+    outside = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+    if outside.any():
+        k = outside.argmax()
+        raise EntryRangeError(f"entry ({rows[k] + 1}, {cols[k] + 1}) outside 1..{n_rows}")
+    return CscMatrix.from_triplets(n_rows, rows, cols, entries["value"])
 
 
 def save_matrix_market(A: ColumnMatrix, path):

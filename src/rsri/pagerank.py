@@ -8,11 +8,10 @@ chosen source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .operators import CscMatrix
+from .operators import CscMatrix, _read_table
 from .vectors import SparseVector
 
 __all__ = [
@@ -71,36 +70,24 @@ class PageRankProblem:
 
 
 def load_edge_list(path) -> EdgeList:
-    """Parse a whitespace edge list with '#' comment lines.
+    """Parse a whitespace edge list with '#' comments; columns after 'from to' are ignored.
 
     Labels are remapped to 0..N-1 in first-appearance order; the map is
     retained so reports can name original nodes.
     """
-    id_map: dict[int, int] = {}
-    src, dst = [], []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) < 2:
-            raise ValueError(f"line {line_no}: expected 'from to', got {line!r}")
-        try:
-            pair = (int(tokens[0]), int(tokens[1]))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: non-integer node label in {line!r}") from exc
-        for label in pair:
-            if label not in id_map:
-                id_map[label] = len(id_map)
-        src.append(id_map[pair[0]])
-        dst.append(id_map[pair[1]])
-    if not id_map:
+    table = _read_table(path, np.dtype([("from", np.int64), ("to", np.int64)]), "#")
+    if not table.size:
         raise ValueError("edge list contains no edges")
+    # ids follow first appearance in file order: from, to, from, to, ...
+    labels, first, inverse = np.unique(table.view(np.int64), return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
     return EdgeList(
-        node_count=len(id_map),
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-        id_map=id_map,
+        node_count=order.size,
+        src=src,
+        dst=dst,
+        id_map=dict(zip(labels[order].tolist(), range(order.size))),
     )
 
 

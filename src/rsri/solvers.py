@@ -141,7 +141,8 @@ def _run_iterates(
 
     Returns the exact number of column accesses.  rsri and
     rsri_functionals share this loop so identical streams see identical
-    iterates.
+    iterates.  Raises NonConvergenceError at the first iterate whose
+    1-norm is not finite: the iteration diverged.
     """
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
@@ -149,12 +150,18 @@ def _run_iterates(
     x = b
     if cfg.t_min == 0:
         consume(x)
-    for s in range(1, cfg.t):
-        phi = sparsify(x, cfg.m, rng)
-        accesses += phi.nnz
-        x = _next_iterate(A, b, phi)
-        if s >= cfg.t_min:
-            consume(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
+        for s in range(1, cfg.t):
+            phi = sparsify(x, cfg.m, rng)
+            accesses += phi.nnz
+            x = _next_iterate(A, b, phi)
+            norm1 = float(np.abs(x.values).sum())
+            if not math.isfinite(norm1):
+                raise NonConvergenceError(
+                    f"iterate diverged: 1-norm {norm1} at step {s}", norm1
+                )
+            if s >= cfg.t_min:
+                consume(x)
     return accesses
 
 

@@ -139,6 +139,34 @@ class TestSolve:
         assert "rhs line 2: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["1 abc", "x 0.5", "1"])
+    def test_malformed_rhs_names_line(self, identity_file, tmp_path, capsys, bad):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text(f"# rhs\n0 0.25\n{bad}\n")
+        assert cli_main(["solve", identity_file, str(rhs)]) == 1
+        assert "rhs line 3:" in capsys.readouterr().err
+
+    def test_rhs_extra_columns_and_order(self, identity_file, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1 0.75 note\n0 0.25\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["solve", identity_file, str(rhs), "--m", "2", "--t", "10",
+                         "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,0.25", "1,0.75"]
+
+    def test_diverging_iteration_exit_2(self, tmp_path, capsys):
+        # G = I - A = [[0, 2], [2, 0]]: the iterates double until they overflow
+        matrix = tmp_path / "grow.mtx"
+        matrix.write_text(IDENTITY_MM.replace("2 2 2\n", "2 2 4\n1 2 -2.0\n2 1 -2.0\n"))
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0 1\n")
+        out = tmp_path / "x.csv"
+        code = cli_main(["solve", str(matrix), str(rhs), "--m", "1", "--t", "3000",
+                         "--out", str(out)])
+        assert code == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_writes_csv_and_svg(self, cycle_file, tmp_path, capsys):

@@ -138,6 +138,40 @@ class TestNormAndDiagnostics:
         assert d.m_g_simple >= 1.0
         assert d.m_g_series >= 1.0
 
+    @pytest.mark.parametrize("nonnegative", [True, False])
+    def test_series_matches_dense_powers(self, np_rng, nonnegative):
+        from conftest import random_contraction_system
+
+        A, _, G, _ = random_contraction_system(np_rng, 30, nonnegative=nonnegative)
+        absG = np.abs(G)
+        u, series = np.ones(30), 0.0
+        while u.max() ** 2 >= 1e-12:
+            series += u.max() ** 2
+            u = absG.T @ u
+        series += u.max() ** 2
+        d = diagnostics(A)
+        assert d.g_norm1 == pytest.approx(absG.sum(axis=0).max(), rel=1e-12)
+        assert d.m_g_series == pytest.approx(series, rel=1e-12)
+
+    def test_reads_each_column_once(self):
+        dense = np.eye(6) - 0.1 * np.ones((6, 6))
+        reads = []
+
+        def fn(j):
+            reads.append(j)
+            return SparseVector.from_dense(dense[:, j])
+
+        d = diagnostics(FunctionColumnMatrix(6, fn))
+        assert sorted(reads) == list(range(6))
+        assert d.g_norm1 == pytest.approx(0.6, rel=1e-12)
+
+    def test_non_contraction_series_overflow_is_inf(self):
+        # ||G||_1 = 2: the series terms overflow long before the term cap
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        d = diagnostics(A)
+        assert (d.g_norm1, d.m_g_simple, d.m_g_series) == (2.0, math.inf, math.inf)
+        assert not d.is_contraction
+
 
 class TestApply:
     def test_identity(self, np_rng):
@@ -253,3 +287,20 @@ class TestMatrixMarket:
         )
         with pytest.raises(MatrixMarketError, match="line 5: non-finite"):
             load_matrix_market(write(tmp_path, "nan.mtx", text))
+
+    @pytest.mark.parametrize("entry", ["1 1 1.0 7", "1 1", "x 1 1.0", "1 1.5 1.0", "1 1 abc"])
+    def test_malformed_entry_names_line(self, tmp_path, entry):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n% comment\n"
+            f"2 2 2\n1 1 0.5\n{entry}\n"
+        )
+        with pytest.raises(MatrixMarketError, match=f"line 5: .* in '{entry}'"):
+            load_matrix_market(write(tmp_path, "bad.mtx", text))
+
+    def test_entries_after_interleaved_comments(self, tmp_path):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n%\n\n2 2 3\n"
+            "% first column\n1 1 0.5\n\n2 1 -0.25\n% second column\n2 2 1e-3\n"
+        )
+        A = load_matrix_market(write(tmp_path, "cmt.mtx", text))
+        np.testing.assert_array_equal(densify(A), [[0.5, 0.0], [-0.25, 1e-3]])

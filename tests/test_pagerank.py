@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,37 @@ class TestLoadEdgeList:
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="no edges"):
             load_edge_list(write_edges(tmp_path, "# nothing\n"))
+
+    @pytest.mark.parametrize("text", ["", "# nothing\n\n   \n"])
+    def test_empty_file_warns_nothing(self, tmp_path, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no edges"):
+                load_edge_list(write_edges(tmp_path, text))
+        assert caught == []
+
+    @pytest.mark.parametrize("bad", ["0 x", "7", "1.5 2", "99999999999999999999 1"])
+    def test_error_after_comments_names_line(self, tmp_path, bad):
+        text = f"# heading\n\n# more\n{bad}\n0 1\n"
+        with pytest.raises(ValueError, match=f"^line 4: .* in '{bad}'$"):
+            load_edge_list(write_edges(tmp_path, text))
+
+    def test_extra_columns_ignored(self, tmp_path):
+        edges = load_edge_list(write_edges(tmp_path, "10 7 0.5\n7 3 x y\n3\t10\t2\n"))
+        assert edges.id_map == {10: 0, 7: 1, 3: 2}
+        np.testing.assert_array_equal(edges.src, [0, 1, 2])
+        np.testing.assert_array_equal(edges.dst, [1, 2, 0])
+
+    def test_matches_first_appearance_loop(self, tmp_path, np_rng):
+        labels = np_rng.integers(-50, 50, size=(300, 2))
+        text = "".join(f"{u} {v}\n" for u, v in labels.tolist())
+        edges = load_edge_list(write_edges(tmp_path, text))
+        id_map = {}
+        for label in labels.ravel().tolist():
+            id_map.setdefault(label, len(id_map))
+        assert list(edges.id_map.items()) == list(id_map.items())
+        np.testing.assert_array_equal(edges.src, [id_map[u] for u in labels[:, 0].tolist()])
+        np.testing.assert_array_equal(edges.dst, [id_map[v] for v in labels[:, 1].tolist()])
 
 
 class TestBuildProblem:

@@ -262,6 +262,28 @@ class TestRsri:
             RsriConfig(m=1, t=10, t_min=2, trials=0)
 
 
+class TestDivergenceGuard:
+    @staticmethod
+    def growing_system():
+        # ||G||_1 = 2 with G = [[0, 2], [2, 0]]: the iterate norm doubles each step
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        return A, sparse_from(2, [(0, 1.0)])
+
+    def test_rsri_raises_at_first_non_finite_iterate(self):
+        A, b = self.growing_system()
+        with pytest.raises(NonConvergenceError, match="diverged") as err:
+            rsri(A, b, RsriConfig(m=1, t=3000, t_min=1500), RandomStream(0))
+        assert not math.isfinite(err.value.residual)
+        # 2^1024 overflows: the iterate of step 1023 is the first non-finite one
+        assert "step 1023" in str(err.value)
+
+    def test_functionals_share_the_guard(self):
+        A, b = self.growing_system()
+        with pytest.raises(NonConvergenceError):
+            rsri_functionals(A, b, RsriConfig(m=2, t=3000, t_min=0), RandomStream(0),
+                             [np.ones(2)])
+
+
 class TestFunctionals:
     def test_matches_stored_estimate_per_coordinate(self):
         prob = three_cycle_problem()
