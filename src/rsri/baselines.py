@@ -16,7 +16,7 @@ import numpy as np
 from .operators import ColumnMatrix
 from .pagerank import STOCHASTIC_TOL
 from .sampling import RandomStream
-from .vectors import SparseVector
+from .vectors import SparseVector, _stable_order
 
 __all__ = ["ResidualTrace", "WalkCapError", "mc_surfer", "push_cd"]
 
@@ -49,6 +49,42 @@ def _stochastic_column(P: ColumnMatrix, j: int) -> SparseVector:
     return col
 
 
+def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next state of every walker: in its column j of P, the entry at
+    ``searchsorted(cdf_j, u * cdf_j[-1], "right")`` with cdf_j the cumulative
+    sum of the column, found by one vectorised bisection for all walkers.
+
+    Each touched column is read and checked once per call; the cumulative
+    sums are rows of one zero-padded ``cumsum``, so each equals the
+    cumulative sum of its column alone.
+    """
+    cols, which = np.unique(current, return_inverse=True)
+    rows, vals, counts = P.gather(cols, np.ones(cols.size))
+    starts = counts.cumsum() - counts
+    totals, lows = np.zeros(cols.size), np.zeros(cols.size)
+    full = counts > 0
+    if rows.size:
+        totals[full] = np.add.reduceat(vals, starts[full])
+        lows[full] = np.minimum.reduceat(vals, starts[full])
+    bad = ((np.abs(totals - 1.0) > STOCHASTIC_TOL) | (lows < 0.0)).nonzero()[0]
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"column {cols[k]} of P is not stochastic (sum {float(totals[k])!r})")
+    width = int(counts.max())
+    cdf = np.zeros(cols.size * width)
+    cdf[np.repeat(np.arange(cols.size) * width - starts, counts) + np.arange(rows.size)] = vals
+    cdf = cdf.reshape(cols.size, width).cumsum(axis=1)
+    n = counts[which]
+    target = u * cdf[which, n - 1]
+    lo, hi = np.zeros(current.size, dtype=np.int64), n.copy()
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) >> 1
+        le = (lo < hi) & (cdf[which, np.minimum(mid, n - 1)] <= target)
+        hi = np.where((lo < hi) & ~le, mid, hi)
+        lo = np.where(le, mid + 1, lo)
+    return rows[starts[which] + np.minimum(lo, n - 1)]
+
+
 def mc_surfer(
     P: ColumnMatrix, s: SparseVector, alpha: float, m: int, rng: RandomStream
 ) -> SparseVector:
@@ -57,7 +93,9 @@ def mc_surfer(
 
     Each walk starts from s and at every step either moves through the
     current column of P (probability alpha) or stops.  Columns are
-    checked for stochasticity as they are touched.
+    checked for stochasticity as they are touched.  A step reads one
+    uniform per moving walker, handed out by ascending state and then by
+    walker, as a loop over the distinct states would read them.
     """
     _validate_walk_inputs(s, alpha)
     if m < 1:
@@ -71,7 +109,6 @@ def mc_surfer(
     states = s.indices[np.minimum(pos, s.indices.size - 1)]
     final = np.empty(m, dtype=np.int64)
     alive = np.arange(m)
-    cdf_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     step = 0
     while alive.size:
@@ -84,17 +121,9 @@ def mc_surfer(
         if alive.size == 0:
             break
         current = states[alive]
-        moved = current.copy()
-        for j in np.unique(current):
-            j = int(j)
-            if j not in cdf_cache:
-                col = _stochastic_column(P, j)
-                cdf_cache[j] = (col.indices, np.cumsum(col.values))
-            idx, cdf = cdf_cache[j]
-            mask = current == j
-            picks = np.searchsorted(cdf, rng.random(int(mask.sum())) * cdf[-1], side="right")
-            moved[mask] = idx[np.minimum(picks, idx.size - 1)]
-        states[alive] = moved
+        u = np.empty(alive.size)
+        u[_stable_order(current, P.dim)] = rng.random(alive.size)
+        states[alive] = _surfer_moves(P, current, u)
         step += 1
 
     counts = np.bincount(final, minlength=P.dim)

@@ -1,10 +1,11 @@
 """Experiment driver: RMSE estimation over trials, m-sweeps, tail reports.
 
-Trials run one after another in trial-index order, trial k on
-spawn_stream(seed, k).  Sweep CSVs are byte-stable across identical runs:
-everything written is a pure function of the flags and seed, which is why
-measured wall-clock times go to the returned rows and the log, not into
-the file.
+Trials run in lockstep through one batched solver step, trial k on
+spawn_stream(seed, k) and bit-identical to rsri on that stream alone;
+the matched-cost Monte Carlo trials run one after another.  Sweep CSVs
+are byte-stable across identical runs: everything written is a pure
+function of the flags and seed, which is why measured wall-clock times
+go to the returned rows and the log, not into the file.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .baselines import mc_surfer
 from .sampling import RandomStream, spawn_stream
-from .solvers import RsriConfig, rsri
+from .solvers import RsriConfig, _rsri_trials
 from .svgplot import svg_line_plot
 from .vectors import SparseVector, tail_sums
 
@@ -61,11 +62,10 @@ def _trial_estimates(problem, cfg: RsriConfig) -> tuple[np.ndarray, int, float]:
     """X-bar per trial as dense rows, plus mean accesses and wall time."""
     master = RandomStream(cfg.seed)
     start = time.perf_counter()
-    reports = [rsri(problem.A, problem.b, cfg, spawn_stream(master, k)) for k in range(cfg.trials)]
+    streams = [spawn_stream(master, k) for k in range(cfg.trials)]
+    estimates, accesses = _rsri_trials(problem.A, problem.b, cfg, streams)
     wall = time.perf_counter() - start
-    estimates = np.stack([r.estimate.to_dense() for r in reports])
-    accesses = int(round(float(np.mean([r.column_accesses for r in reports]))))
-    return estimates, accesses, wall
+    return estimates, int(round(float(np.mean(accesses)))), wall
 
 
 def estimate_rmse(problem, cfg: RsriConfig, oracle: np.ndarray) -> RmseEstimate:

@@ -67,13 +67,15 @@ class ColumnMatrix:
         raise NotImplementedError
 
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
-        """Flat (rows, coeff * values) for the requested columns; no dedupe."""
+        """Flat (rows, coeff * values, per-column counts) for the requested
+        columns, in request order; no dedupe."""
         picked = [self.column(int(j)) for j in cols]
+        counts = np.fromiter((col.indices.size for col in picked), np.int64, len(picked))
         if not picked:
-            return np.empty(0, dtype=np.int64), np.empty(0)
+            return np.empty(0, dtype=np.int64), np.empty(0), counts
         rows = np.concatenate([col.indices for col in picked])
-        vals = np.concatenate([w * col.values for w, col in zip(coeffs, picked)])
-        return rows, vals
+        vals = np.concatenate([col.values for col in picked]) * np.repeat(coeffs, counts)
+        return rows, vals, counts
 
     def _check_index(self, j: int):
         if not 0 <= j < self.dim:
@@ -130,15 +132,16 @@ class CscMatrix(ColumnMatrix):
         return self._col_ids
 
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
-        """Flat (rows, coeff * data) for the requested columns; no dedupe."""
+        """Flat (rows, coeff * data, per-column counts) for the requested
+        columns, in request order; no dedupe."""
         counts = self.indptr[cols + 1] - self.indptr[cols]
         total = int(counts.sum())
         if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
+            return np.empty(0, dtype=np.int64), np.empty(0), counts
         stops = np.cumsum(counts)
         offsets = np.arange(total) - np.repeat(stops - counts, counts)
         flat = np.repeat(self.indptr[cols], counts) + offsets
-        return self.indices[flat], self.data[flat] * np.repeat(coeffs, counts)
+        return self.indices[flat], self.data[flat] * np.repeat(coeffs, counts), counts
 
 
 class DenseColumnMatrix(ColumnMatrix):
@@ -181,13 +184,13 @@ def g_column(A: ColumnMatrix, j: int) -> SparseVector:
 
 def _abs_g_entries(A: ColumnMatrix):
     """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|, one read per column."""
-    cols = [A.column(j) for j in range(A.dim)]
     ids = np.arange(A.dim)
+    rows, vals, counts = A.gather(ids, np.ones(A.dim))
     G = CscMatrix.from_triplets(  # sums the diagonal, drops exact zeros, sorts rows
         A.dim,
-        np.concatenate([ids, *(c.indices for c in cols)]),
-        np.concatenate([ids, np.repeat(ids, [c.nnz for c in cols])]),
-        np.concatenate([np.ones(A.dim), *(-c.values for c in cols)]),
+        np.concatenate([ids, rows]),
+        np.concatenate([ids, np.repeat(ids, counts)]),
+        np.concatenate([np.ones(A.dim), -vals]),
     )
     return G.indices, G.column_ids(), np.abs(G.data)
 
@@ -248,7 +251,7 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
     if isinstance(A, DenseColumnMatrix):
         return A.array @ v
     nz = np.flatnonzero(v)
-    rows, vals = A.gather(nz, v[nz])
+    rows, vals, _ = A.gather(nz, v[nz])
     return np.bincount(rows, weights=vals, minlength=A.dim)
 
 

@@ -9,9 +9,10 @@ variance analysis relies on.
 
 The carry mass before each duel is not random: it is the fractional part
 of the prefix sum of the probabilities.  Only which unit holds it is.
-So every duel is decided at once from pre-drawn uniforms, the holder
-follows as a running maximum over the duels that move it, and a batch
-of draws is the same computation with a leading axis.
+So every duel is decided at once from pre-drawn uniforms, and the holder
+follows as a running maximum over the duels that move it.  One core
+does this row-wise for zero-padded rows, so many draws of one vector,
+or one draw each of many vectors, take a single call.
 """
 from __future__ import annotations
 
@@ -109,41 +110,65 @@ def pivotal_sample(p: Union[ProbabilityVector, np.ndarray], rng: RandomStream) -
     left holding the carry completes the set.
     """
     pv = _as_probs(p)
-    return _pivotal_core(pv.probs, pv.target_size, rng)
+    return _pivotal_positions(pv.probs, pv.target_size, rng)
 
 
-def _pivotal_core(
-    probs_full: np.ndarray, m: int, rng: RandomStream, draws: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Sorted positions of m selected entries, with shape ``draws + (m,)``."""
-    nz = np.flatnonzero(probs_full)
+def _pivotal_positions(probs: np.ndarray, m: int, rng: RandomStream) -> np.ndarray:
+    """Sorted positions of the m entries of one pivotal draw on ``rng``."""
+    nz = probs.nonzero()[0]
     if nz.size == 0:
-        return np.empty(draws + (0,), dtype=np.int64)
-    probs = probs_full[nz]
-    u = rng.random(draws + (nz.size - 1,) if draws else nz.size - 1)
+        return nz
+    u = rng.random(nz.size - 1)
+    return nz[_pivotal_core(probs[nz][None], m, u[None])[0].nonzero()[0]]
+
+
+def _pivotal_core(probs: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
+    """Selections of one pivotal draw per row of ``u``, as a boolean array.
+
+    Row r of ``probs`` holds its n_r positive probabilities first and zero
+    padding after them; its duels read ``u[r, :n_r - 1]``, the rest of the
+    row of ``u`` must be zero, and it must select ``targets[r]`` entries
+    (a scalar serves every row).  A single row of ``probs`` serves every
+    row of ``u``: many draws of one vector.
+    """
+    rows, width = u.shape[0], probs.shape[1]
     # the carry mass before each duel is the fractional part of the prefix
-    # sum; the duels where its integer part steps up each fill one unit
-    prefix = np.cumsum(probs)
+    # sum; the duels where its integer part steps up each fill one unit.
+    # Padding adds exact zeros, so no unit fills there, and with a zero
+    # uniform the carry moves there only when it is zero, in which case
+    # the set is already complete.
+    prefix = probs.cumsum(axis=1)
     whole = np.floor(prefix)
-    carry = prefix[:-1] - whole[:-1]
-    new = probs[1:]
+    carry = prefix[:, :-1] - whole[:, :-1]
+    new = probs[:, 1:]
     total = carry + new
-    fills = whole[1:] > whole[:-1]
+    fills = whole[:, 1:] > whole[:, :-1]
     # moves: the newcomer takes the carry; in a filling duel the old holder
-    # is then selected, in any other duel it drops out
+    # is then selected, in any other duel it drops out; in a filling duel
+    # that leaves the carry in place the newcomer is selected
     moves = np.where(fills, u * (2.0 - total) < 1.0 - new, u * total >= carry)
-    holder = np.zeros(draws + (nz.size,), dtype=np.int64)
-    holder[..., 1:] = np.where(moves, np.arange(1, nz.size), 0)
-    np.maximum.accumulate(holder, axis=-1, out=holder)
-    hi = np.flatnonzero(fills)  # duel hi is between holder[..., hi] and entry hi + 1
-    chosen = np.where(moves.take(hi, axis=-1), holder.take(hi, axis=-1), hi + 1)
-    count = hi.size
-    if count == m - 1:
-        # residual mass ~ 1: the last carry holder completes the set
-        chosen = np.concatenate([chosen, holder[..., -1:]], axis=-1)
-    elif count != m:
-        raise RuntimeError(f"pivotal sampling produced {count} selections for target {m}")
-    return nz[np.sort(chosen, axis=-1)]
+    holder = np.zeros((rows, width), dtype=np.int64)
+    holder[:, 1:] = np.where(moves, np.arange(1, width), 0)
+    np.maximum.accumulate(holder, axis=1, out=holder)
+    # duel (r, j) is between holder[r, j] and entry j + 1
+    sel = np.zeros((rows, width), dtype=bool)
+    sel[:, 1:] = fills & ~moves
+    won = (fills & moves).ravel().nonzero()[0]
+    row = won // max(width - 1, 1)
+    sel.ravel()[row * width + holder.ravel()[won + row]] = True
+    missing = targets - fills.sum(axis=1)
+    if missing.size < rows:  # one row of probabilities: every draw fills the same duels
+        missing = missing.repeat(rows)
+    short = missing.nonzero()[0]
+    if (missing[short] != 1).any():
+        r = short[missing[short] != 1][0]
+        target = np.broadcast_to(targets, rows)[r]
+        raise RuntimeError(
+            f"pivotal sampling produced {target - missing[r]} selections for target {target}"
+        )
+    if short.size:  # residual mass ~ 1: the last carry holder completes the set
+        sel[short, holder[short, -1]] = True
+    return sel
 
 
 def pivotal_sample_batch(
@@ -157,5 +182,8 @@ def pivotal_sample_batch(
     """
     pv = _as_probs(p)
     sel = np.zeros((draws, pv.dim), dtype=bool)
-    np.put_along_axis(sel, _pivotal_core(pv.probs, pv.target_size, rng, (draws,)), True, axis=1)
+    nz = pv.probs.nonzero()[0]
+    if nz.size:
+        u = rng.random((draws, nz.size - 1))
+        sel[:, nz] = _pivotal_core(pv.probs[nz][None], pv.target_size, u)
     return sel

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import ProbabilityVector, RandomStream, _pivotal_core
+from typing import Sequence
+
+from .sampling import ProbabilityVector, RandomStream, _pivotal_core, _pivotal_positions
 from .vectors import SparseVector, _rearrangement, tail_sums
 
 __all__ = [
@@ -34,12 +36,15 @@ class PreservationSplit:
     lower index); every residual probability is (m - q) |v_i| / T(q),
     with T(q) the tail of the same rearrangement that decided admission,
     and is strictly below one except in the degenerate all-admitted case.
+    The ``*_positions`` are the storage positions of those indices in v.
     """
 
     dim: int
     exact_indices: np.ndarray
     residual_indices: np.ndarray
     residual_probs: np.ndarray
+    exact_positions: np.ndarray
+    residual_positions: np.ndarray
 
     @property
     def q(self) -> int:
@@ -56,10 +61,8 @@ def preservation_split(v: SparseVector, m: int) -> PreservationSplit:
     n = v.nnz
     empty_i = np.empty(0, dtype=np.int64)
     empty_f = np.empty(0, dtype=np.float64)
-    if n == 0:
-        return PreservationSplit(v.dim, empty_i, empty_i, empty_f)
     if n <= m:
-        return PreservationSplit(v.dim, v.indices.copy(), empty_i, empty_f)
+        return PreservationSplit(v.dim, v.indices.copy(), empty_i, empty_f, np.arange(n), empty_i)
 
     a = np.abs(v.values)
     order, tails = _rearrangement(v)
@@ -76,7 +79,9 @@ def preservation_split(v: SparseVector, m: int) -> PreservationSplit:
     else:
         probs = (m - q) * a[res_pos] / tails[q]
         np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)  # guard float roundup
-    return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs)
+    return PreservationSplit(
+        v.dim, v.indices[exact_pos], v.indices[res_pos], probs, exact_pos, res_pos
+    )
 
 
 def sparsify(v: SparseVector, m: int, rng: RandomStream) -> SparseVector:
@@ -91,16 +96,85 @@ def sparsify(v: SparseVector, m: int, rng: RandomStream) -> SparseVector:
             raise ValueError(f"sparsity level m must be >= 1, got {m}")
         return v
     split = preservation_split(v, m)
-    exact_pos = np.searchsorted(v.indices, split.exact_indices)
-    res_pos = np.searchsorted(v.indices, split.residual_indices)
     # split probabilities honor the ProbabilityVector contract by construction
-    chosen = _pivotal_core(split.residual_probs, m - split.q, rng)
-    idx = np.concatenate([split.exact_indices, split.residual_indices[chosen]])
-    val = np.concatenate(
-        [v.values[exact_pos], v.values[res_pos[chosen]] / split.residual_probs[chosen]]
-    )
-    order = np.argsort(idx)
-    return SparseVector._make(v.dim, idx[order], val[order])
+    chosen = _pivotal_positions(split.residual_probs, m - split.q, rng)
+    pos = np.sort(np.concatenate([split.exact_positions, split.residual_positions[chosen]]))
+    weight = np.ones(v.nnz)  # exact entries are divided by one, which is exact
+    weight[split.residual_positions] = split.residual_probs
+    return SparseVector._make(v.dim, v.indices[pos], v.values[pos] / weight[pos])
+
+
+def _sparsify_trials(
+    trial: np.ndarray, values: np.ndarray, m: int, streams: Sequence[RandomStream]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sparsify` of many vectors at once, each on its own stream.
+
+    Vector k is the run of entries with ``trial == k`` (``trial`` is
+    sorted, storage order within a run).  Returns the positions of the
+    kept entries and their output values; run k of the result is
+    ``sparsify(vector k, m, streams[k])`` bit for bit.  Every float
+    reduction runs row-wise over zero-padded (rows, width) arrays, where
+    the padding adds exact zeros, so each vector sees its own operands
+    in the order the single call does.
+    """
+    counts = np.bincount(trial, minlength=len(streams))
+    big = counts > m
+    if not big.any():
+        return np.arange(trial.size), values
+    sub = big[trial].nonzero()[0]  # entries of the vectors that get sparsified
+    row = (big.cumsum() - 1)[trial[sub]]
+    n = counts[big]
+    rows, width = n.size, int(n.max())
+    pos = np.arange(sub.size) - (n.cumsum() - n)[row]  # storage position in the vector
+    a = np.abs(values[sub])
+    # the tails only need the magnitudes in increasing order, whatever the
+    # order of ties: a row-wise sort puts the padding zeros first, and the
+    # cumulative sum from there is T(k) at column width - 1 - k
+    mags = np.zeros((rows, width))
+    mags.ravel()[row * width + pos] = a
+    mags.sort(axis=1)
+    dec = mags[:, ::-1]  # |v|_(k) at column k
+    tails = mags.cumsum(axis=1)[:, ::-1]  # T(k) at column k
+    # admit the k-th largest while |v|_(k) (m - k) >= T(k); q is the first failure
+    admit = dec[:, :m] * (m - np.arange(m)) >= tails[:, :m]
+    q = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
+    t_q = tails[np.arange(rows), q]
+    live = (q < m) & (t_q > 0.0)  # else degenerate: float drift admitted a full set
+    # the exact set: magnitudes above |v|_(q-1), then ties at it by position
+    floor = np.where(q > 0, dec[np.arange(rows), np.maximum(q - 1, 0)], np.inf)
+    exact = a > floor[row]
+    tie = (a == floor[row]).nonzero()[0]
+    r_tie = row[tie]
+    n_tie = np.bincount(r_tie, minlength=rows)
+    need = q - np.bincount(row[exact], minlength=rows)
+    exact[tie[np.arange(tie.size) - (n_tie.cumsum() - n_tie)[r_tie] < need[r_tie]]] = True
+    res = (~exact & live[row]).nonzero()[0]
+    probs = (m - q[row[res]]) * a[res] / t_q[row[res]]
+    np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)  # guard float roundup
+    res, probs = res[probs > 0.0], probs[probs > 0.0]
+    # one pivotal draw per row over its residual, compacted to the left
+    r_res = row[res]
+    n_res = np.bincount(r_res, minlength=rows)
+    width = int(n_res.max()) if res.size else 1
+    slot = r_res * width + np.arange(res.size) - (n_res.cumsum() - n_res)[r_res]
+    p = np.zeros(rows * width)
+    p[slot] = probs
+    u = np.zeros((rows, width - 1))
+    duels = np.arange(width - 1) < (n_res - 1)[:, None]  # row k draws n_res[k] - 1 uniforms
+    drawing = (n_res > 1).nonzero()[0]
+    if drawing.size:
+        u[duels] = np.concatenate([streams[k].random(d) for k, d in zip(
+            big.nonzero()[0][drawing].tolist(), (n_res[drawing] - 1).tolist())])
+    targets = np.where(n_res > 0, m - q, 0)
+    chosen = _pivotal_core(p.reshape(rows, width), targets, u).ravel()[slot]
+    keep = np.ones(trial.size, dtype=bool)
+    keep[sub] = exact
+    picked = sub[res[chosen]]
+    keep[picked] = True
+    out = values.copy()
+    out[picked] /= probs[chosen]
+    kept = keep.nonzero()[0]
+    return kept, out[kept]
 
 
 def sparsify_l2_bound(v: SparseVector, m: int) -> float:

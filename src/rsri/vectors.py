@@ -108,7 +108,7 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
         return SparseVector.empty(dim)
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(indices, kind="stable")
+    order = _stable_order(indices, dim)
     si = indices[order]
     sv = values[order]
     starts = np.flatnonzero(np.diff(si)) + 1
@@ -116,6 +116,19 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
     sums = np.add.reduceat(sv, starts)
     keep = sums != 0.0
     return SparseVector._make(dim, si[starts[keep]], sums[keep])
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")`` returns, for keys in [0, bound).
+
+    Each key is packed with its position as ``(key << b) | position``; the
+    packed keys are distinct, so one unstable ``np.sort`` orders them as
+    the stable sort would.  Keys too wide to pack take the stable argsort.
+    """
+    shift = max(keys.size - 1, 0).bit_length()
+    if max(bound - 1, 0).bit_length() + shift > 63:
+        return np.argsort(keys, kind="stable")
+    return np.sort((keys << shift) | np.arange(keys.size)) & ((1 << shift) - 1)
 
 
 def norms(v: SparseVector) -> VectorNorms:

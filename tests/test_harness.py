@@ -4,20 +4,33 @@ import numpy as np
 import pytest
 
 from rsri import (
+    CscMatrix,
+    DenseColumnMatrix,
+    FunctionColumnMatrix,
     LinearProblem,
+    NonConvergenceError,
+    RandomStream,
     RsriConfig,
     SparseVector,
+    build_problem,
+    densify,
     estimate_rmse,
     expected_average,
     identity,
     matched_walk_count,
     reference_solve,
+    rsri,
     run_sweep,
+    sparsify,
+    spawn_stream,
     sweep_csv_text,
+    synth_bounded_outdegree,
     tail_report,
     tail_sums,
 )
 from rsri.harness import CSV_HEADER, _write_atomic
+from rsri.solvers import _rsri_trials, _run_iterates
+from rsri.sparsify import _sparsify_trials
 from rsri.svgplot import svg_line_plot
 
 from conftest import sparse_from, three_cycle_problem
@@ -70,6 +83,105 @@ class TestEstimateRmse:
             cfg = RsriConfig(m=3, t=t_min + window, t_min=t_min, seed=1, trials=2)
             biases.append(estimate_rmse(prob, cfg, x).bias_norm)
         assert biases[0] > biases[1] > biases[2]
+
+
+def single_runs(A, b, cfg):
+    """(dense estimate, column accesses) of rsri on each trial's own stream."""
+    master = RandomStream(cfg.seed)
+    reports = [rsri(A, b, cfg, spawn_stream(master, k)) for k in range(cfg.trials)]
+    return [(r.estimate.to_dense(), r.column_accesses) for r in reports]
+
+
+def batch_runs(A, b, cfg):
+    master = RandomStream(cfg.seed)
+    return _rsri_trials(A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)])
+
+
+def assert_batch_is_single_runs(A, b, cfg):
+    rows, accesses = batch_runs(A, b, cfg)
+    assert rows.shape == (cfg.trials, A.dim)
+    for k, (estimate, count) in enumerate(single_runs(A, b, cfg)):
+        assert rows[k].tobytes() == estimate.tobytes(), f"trial {k} differs"
+        assert accesses[k] == count
+
+
+class TestLockstepTrials:
+    @pytest.mark.parametrize("backing", ["csc", "dense", "function"])
+    def test_rows_and_accesses_equal_single_runs(self, backing):
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
+        A = {
+            "csc": prob.A,
+            "dense": DenseColumnMatrix(densify(prob.A)),
+            "function": FunctionColumnMatrix(prob.A.dim, prob.A.column),
+        }[backing]
+        assert_batch_is_single_runs(A, prob.b, RsriConfig(m=6, t=80, t_min=30, seed=3, trials=4))
+
+    @pytest.mark.parametrize("m", [1, 16, 300])
+    def test_burn_in_zero_and_extreme_m(self, m):
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=5), 0.85, source=0)
+        assert_batch_is_single_runs(prob.A, prob.b, RsriConfig(m=m, t=40, t_min=0, seed=8, trials=3))
+
+    def test_step_mixing_pass_through_and_sparsified_trials(self):
+        # on the 3-cycle a 2-entry iterate whose support is {0, 2} maps to
+        # support {0, 1}, which passes through at m = 2; others sparsify
+        prob = three_cycle_problem()
+        cfg = RsriConfig(m=2, t=60, t_min=0, seed=2, trials=5)
+        master = RandomStream(cfg.seed)
+        sizes = []
+        for k in range(cfg.trials):
+            seen = []
+            _run_iterates(prob.A, prob.b, cfg, spawn_stream(master, k), lambda x: seen.append(x.nnz))
+            sizes.append(seen)
+        over = np.array(sizes) > cfg.m  # per trial and step: does sparsify draw?
+        assert np.any(over.any(axis=0) & ~over.all(axis=0)), "no step mixes both kinds"
+        assert_batch_is_single_runs(prob.A, prob.b, cfg)
+
+    def test_sparsify_runs_match_single_calls(self):
+        # ties, a degenerate split (1e-20 is lost against 1 in T(0), so the
+        # first entry is admitted into a full set), a pass-through, an empty
+        # vector and a subnormal residual
+        vectors = [
+            sparse_from(6, [(0, 3.0), (1, -3.0), (2, 3.0), (4, 1.0), (5, 3.0)]),
+            sparse_from(6, [(1, 1.0), (3, 1e-20)]),
+            sparse_from(6, [(2, 0.5)]),
+            SparseVector.empty(6),
+            sparse_from(6, [(0, 1.0), (1, 5e-324), (2, 0.25), (3, 0.25), (5, 0.5)]),
+            sparse_from(6, [(i, 1.0 + (i % 2)) for i in range(6)]),
+        ]
+        for m in (1, 2, 3):
+            trial = np.repeat(np.arange(len(vectors)), [v.nnz for v in vectors])
+            values = np.concatenate([v.values for v in vectors])
+            streams = [RandomStream(40 + k) for k in range(len(vectors))]
+            kept, out = _sparsify_trials(trial, values, m, streams)
+            offsets = np.cumsum([0] + [v.nnz for v in vectors])
+            for k, v in enumerate(vectors):
+                single = RandomStream(40 + k)
+                want = sparsify(v, m, single)
+                mine = trial[kept] == k
+                np.testing.assert_array_equal(v.indices[kept[mine] - offsets[k]], want.indices)
+                assert out[mine].tobytes() == want.values.tobytes()
+                # both read the same number of uniforms
+                assert streams[k].random() == single.random()
+
+    def test_dimension_mismatch(self):
+        prob = three_cycle_problem()
+        with pytest.raises(ValueError):
+            batch_runs(identity(4), prob.b, RsriConfig(m=2, t=5, t_min=1, trials=2))
+
+    def test_diverging_system_names_trial_and_step(self):
+        # ||G||_1 = 2: the iterate norm doubles each step until it overflows
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        problem = LinearProblem(A, sparse_from(2, [(0, 1.0)]))
+        cfg = RsriConfig(m=1, t=3000, t_min=0, seed=0, trials=3)
+        with pytest.raises(NonConvergenceError, match=r"trial 0: iterate diverged.* at step 1023"):
+            estimate_rmse(problem, cfg, np.zeros(2))
+
+    def test_diverging_sparsified_steps_raise_before_any_warning(self):
+        G = 2.0 * np.roll(np.eye(8), 1, axis=0)  # iterates outgrow m = 4 while doubling
+        A = CscMatrix.from_dense(np.eye(8) - G)
+        cfg = RsriConfig(m=4, t=3000, t_min=0, seed=1, trials=4)
+        with pytest.raises(NonConvergenceError, match=r"trial \d: iterate diverged"):
+            batch_runs(A, sparse_from(8, [(0, 1.0), (1, 0.5)]), cfg)
 
 
 class TestRunSweep:

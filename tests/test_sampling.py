@@ -14,6 +14,8 @@ from rsri import (
 )
 
 
+from rsri.sampling import _pivotal_core
+
 from conftest import random_probability_vector
 
 
@@ -178,6 +180,29 @@ class TestPivotalSample:
         rng = RandomStream(21)
         for row in batch:
             np.testing.assert_array_equal(np.flatnonzero(row), pivotal_sample(p, rng))
+
+
+class TestPaddedRows:
+    def test_rows_equal_separate_single_draws(self, np_rng):
+        # rows of different lengths and targets, zero-padded on the right,
+        # each with its own uniforms: row k is pivotal_sample on stream k
+        rows = [random_probability_vector(np_rng, int(n), int(m))
+                for n, m in [(12, 3), (5, 1), (30, 7), (2, 1)]]
+        rows += [np.full(5, 0.2), np.array([1.0 - 2.0**-53])]  # completion, one entry
+        width = max(p.size for p in rows)
+        probs = np.zeros((len(rows), width))
+        u = np.zeros((len(rows), width - 1))
+        for k, p in enumerate(rows):
+            probs[k, : p.size] = p
+            u[k, : p.size - 1] = RandomStream(60 + k).random(p.size - 1)
+        targets = np.array([ProbabilityVector(p.size, p).target_size for p in rows])
+        sel = _pivotal_core(probs, targets, u)
+        for k, p in enumerate(rows):
+            np.testing.assert_array_equal(np.flatnonzero(sel[k]), pivotal_sample(p, RandomStream(60 + k)))
+
+    def test_wrong_target_raises(self):
+        with pytest.raises(RuntimeError, match="selections for target 3"):
+            _pivotal_core(np.array([[0.5, 0.5]]), 3, np.array([[0.3]]))
 
 
 @st.composite

@@ -277,6 +277,17 @@ class TestDivergenceGuard:
         # 2^1024 overflows: the iterate of step 1023 is the first non-finite one
         assert "step 1023" in str(err.value)
 
+    def test_sparsified_growth_raises_before_any_warning(self):
+        # G = 2 x (8-cycle): the iterates outgrow m = 4, so steps sparsify
+        # while the norm doubles; the guard must stop before |v|_(k) (m - k)
+        # overflows inside the split, which a finite 1-norm alone allows
+        G = 2.0 * np.roll(np.eye(8), 1, axis=0)
+        A = CscMatrix.from_dense(np.eye(8) - G)
+        b = sparse_from(8, [(0, 1.0), (1, 0.5)])
+        for seed in range(5):
+            with pytest.raises(NonConvergenceError, match="diverged"):
+                rsri(A, b, RsriConfig(m=4, t=3000, t_min=0), RandomStream(seed))
+
     def test_functionals_share_the_guard(self):
         A, b = self.growing_system()
         with pytest.raises(NonConvergenceError):
