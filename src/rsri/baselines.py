@@ -54,9 +54,11 @@ def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.nda
     ``searchsorted(cdf_j, u * cdf_j[-1], "right")`` with cdf_j the cumulative
     sum of the column, found by one vectorised bisection for all walkers.
 
-    Each touched column is read and checked once per call; the cumulative
-    sums are rows of one zero-padded ``cumsum``, so each equals the
-    cumulative sum of its column alone.
+    Each touched column is read and checked once per call.  The cumulative
+    sums are row-wise ``cumsum``s over the columns zero-padded to the next
+    power of two of their length, one band per width, so each equals the
+    cumulative sum of its column alone and the padding stays below the
+    number of entries read.
     """
     cols, which = np.unique(current, return_inverse=True)
     rows, vals, counts = P.gather(cols, np.ones(cols.size))
@@ -70,19 +72,26 @@ def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.nda
     if bad.size:
         k = bad[0]
         raise ValueError(f"column {cols[k]} of P is not stochastic (sum {float(totals[k])!r})")
-    width = int(counts.max())
-    cdf = np.zeros(cols.size * width)
-    cdf[np.repeat(np.arange(cols.size) * width - starts, counts) + np.arange(rows.size)] = vals
-    cdf = cdf.reshape(cols.size, width).cumsum(axis=1)
-    n = counts[which]
-    target = u * cdf[which, n - 1]
+    cdf = np.empty(rows.size)
+    shift = np.frexp(counts - 1)[1]  # the width 2**shift is the least power of two >= count
+    for e in np.unique(shift).tolist():
+        band = (shift == e).nonzero()[0]
+        n = counts[band]
+        offset = np.arange(n.sum()) - np.repeat(n.cumsum() - n, n)  # entry within its column
+        entry = np.repeat(starts[band], n) + offset
+        slot = np.repeat(np.arange(band.size) << e, n) + offset
+        padded = np.zeros(band.size << e)
+        padded[slot] = vals[entry]
+        cdf[entry] = padded.reshape(band.size, 1 << e).cumsum(axis=1).ravel()[slot]
+    base, n = starts[which], counts[which]
+    target = u * cdf[base + n - 1]
     lo, hi = np.zeros(current.size, dtype=np.int64), n.copy()
-    for _ in range(width.bit_length()):
+    for _ in range(int(counts.max()).bit_length()):
         mid = (lo + hi) >> 1
-        le = (lo < hi) & (cdf[which, np.minimum(mid, n - 1)] <= target)
+        le = (lo < hi) & (cdf[base + np.minimum(mid, n - 1)] <= target)
         hi = np.where((lo < hi) & ~le, mid, hi)
         lo = np.where(le, mid + 1, lo)
-    return rows[starts[which] + np.minimum(lo, n - 1)]
+    return rows[base + np.minimum(lo, n - 1)]
 
 
 def mc_surfer(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -122,6 +122,32 @@ def _pivotal_positions(probs: np.ndarray, m: int, rng: RandomStream) -> np.ndarr
     return nz[_pivotal_core(probs[nz][None], m, u[None])[0].nonzero()[0]]
 
 
+def _pivotal_rows(
+    probs: np.ndarray, row: np.ndarray, targets: np.ndarray, streams: Sequence[RandomStream]
+) -> np.ndarray:
+    """Sorted positions chosen by one pivotal draw per row, row k on streams[k].
+
+    ``probs`` holds the rows one after another (``row`` is its sorted row
+    id per entry) and row k must select ``targets[k]`` entries.  Row k is
+    drawn as :func:`_pivotal_positions` would draw it on ``streams[k]``.
+    """
+    nz = probs.nonzero()[0]
+    r = row[nz]
+    n = np.bincount(r, minlength=len(streams))
+    width = int(n.max()) if nz.size else 1
+    slot = r * width + np.arange(nz.size) - (n.cumsum() - n)[r]  # rows compacted to the left
+    padded = np.zeros(n.size * width)
+    padded[slot] = probs[nz]
+    u = np.zeros((n.size, width - 1))
+    drawing = (n > 1).nonzero()[0].tolist()
+    if drawing:
+        u[np.arange(width - 1) < (n - 1)[:, None]] = np.concatenate(
+            [streams[k].random(n[k] - 1) for k in drawing]
+        )
+    sel = _pivotal_core(padded.reshape(n.size, width), np.where(n > 0, targets, 0), u)
+    return nz[sel.ravel()[slot]]
+
+
 def _pivotal_core(probs: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
     """Selections of one pivotal draw per row of ``u``, as a boolean array.
 
@@ -156,9 +182,8 @@ def _pivotal_core(probs: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
     won = (fills & moves).ravel().nonzero()[0]
     row = won // max(width - 1, 1)
     sel.ravel()[row * width + holder.ravel()[won + row]] = True
-    missing = targets - fills.sum(axis=1)
-    if missing.size < rows:  # one row of probabilities: every draw fills the same duels
-        missing = missing.repeat(rows)
+    # with one row of probabilities every draw fills the same duels
+    missing = np.broadcast_to(targets - fills.sum(axis=1), (rows,))
     short = missing.nonzero()[0]
     if (missing[short] != 1).any():
         r = short[missing[short] != 1][0]

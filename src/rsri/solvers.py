@@ -6,8 +6,9 @@ The sparsified solver never forms G = I - A.  Each iterate is computed as
 
 so an iteration touches at most m columns of A and costs O(m q) when the
 columns hold at most q nonzeros.  Averaging the iterates from the burn-in
-onward gives the returned estimate.  The experiment harness advances many
-runs on separate streams in lockstep, one batched step for all of them.
+onward gives the returned estimate.  One loop advances any number of runs
+on separate streams in lockstep: rsri is the case of one stream, and the
+experiment harness runs all its trials at once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
-from .sparsify import _sparsify_trials, sparsify
+from .sparsify import sparsify
 from .vectors import SparseVector, coalesce, dot
 
 __all__ = [
@@ -123,12 +124,61 @@ def reference_solve(
     )
 
 
-def _next_iterate(A: ColumnMatrix, b: SparseVector, phi: SparseVector) -> SparseVector:
-    # X = b + phi - sum_j phi_j A(:, j); duplicates merged, exact zeros dropped
-    rows, vals, _ = A.gather(phi.indices, phi.values)
-    idx = np.concatenate([b.indices, phi.indices, rows])
-    val = np.concatenate([b.values, phi.values, -vals])
-    return coalesce(b.dim, idx, val)
+def _iterate_trials(
+    A: ColumnMatrix,
+    b: SparseVector,
+    cfg: RsriConfig,
+    streams: Sequence[RandomStream],
+    consume: Callable[[SparseVector], None],
+) -> np.ndarray:
+    """Drive one sparsified iteration per stream in lockstep.
+
+    The iterates of all runs are stacked into one SparseVector of
+    dimension ``len(streams) * A.dim``, entry i of run k at index
+    ``k * A.dim + i``, so one sparsify, one gather and one coalesce
+    advance every run.  consume receives each averaged iterate in that
+    form.  Returns the exact column accesses per stream.  Every sum sees
+    one run's operands in the order a run on its stream alone would, so
+    each run's iterates do not depend on the others.  Raises
+    NonConvergenceError at the first iterate whose 1-norm times m is not
+    finite: the iteration diverged, and the next sparsification could no
+    longer be computed.
+    """
+    if b.dim != A.dim:
+        raise ValueError("dimension mismatch between A and b")
+    trials, dim = len(streams), A.dim
+    b_keys = (np.arange(trials)[:, None] * dim + b.indices).ravel()
+    b_vals = np.tile(b.values, trials)
+    x = SparseVector._make(trials * dim, b_keys, b_vals)
+    accesses = np.zeros(trials, dtype=np.int64)
+    if cfg.t_min == 0:
+        consume(x)
+    for s in range(1, cfg.t):
+        phi = sparsify(x, cfg.m, streams)
+        trial = phi.indices // dim
+        accesses += np.bincount(trial, minlength=trials)
+        offset = trial * dim
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports overflow
+            # X = b + phi - sum_j phi_j A(:, j); duplicates merged, exact zeros dropped
+            rows, vals, counts = A.gather(phi.indices - offset, phi.values)
+            x = coalesce(
+                trials * dim,
+                np.concatenate([b_keys, phi.indices, np.repeat(offset, counts) + rows]),
+                np.concatenate([b_vals, phi.values, -vals]),
+            )
+            if not float(np.abs(x.values).sum()) * cfg.m < math.inf:
+                # some run diverged, or only the sum over runs overflows
+                norm1 = np.bincount(x.indices // dim, np.abs(x.values), minlength=trials)
+                diverged = (~(norm1 * cfg.m < math.inf)).nonzero()[0]
+                if diverged.size:
+                    k = diverged[0]
+                    run = f"trial {k}: " if trials > 1 else ""
+                    raise NonConvergenceError(
+                        f"{run}iterate diverged: 1-norm {norm1[k]} at step {s}", float(norm1[k])
+                    )
+            if s >= cfg.t_min:
+                consume(x)
+    return accesses
 
 
 def _run_iterates(
@@ -138,83 +188,28 @@ def _run_iterates(
     rng: RandomStream,
     consume: Callable[[SparseVector], None],
 ) -> int:
-    """Drive the sparsified iteration, feeding averaged iterates to consume.
-
-    Returns the exact number of column accesses.  rsri and
-    rsri_functionals share this loop so identical streams see identical
-    iterates.  Raises NonConvergenceError at the first iterate whose
-    1-norm times m is not finite: the iteration diverged, and the next
-    sparsification could no longer be computed.
-    """
-    if b.dim != A.dim:
-        raise ValueError("dimension mismatch between A and b")
-    accesses = 0
-    x = b
-    if cfg.t_min == 0:
-        consume(x)
-    for s in range(1, cfg.t):
-        phi = sparsify(x, cfg.m, rng)
-        accesses += phi.nnz
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports overflow
-            x = _next_iterate(A, b, phi)
-            norm1 = float(np.abs(x.values).sum())
-            if not norm1 * cfg.m < math.inf:
-                raise NonConvergenceError(
-                    f"iterate diverged: 1-norm {norm1} at step {s}", norm1
-                )
-            if s >= cfg.t_min:
-                consume(x)
-    return accesses
+    """The iteration on one stream: rsri and rsri_functionals share it, so
+    identical streams see identical iterates.  Returns the column accesses."""
+    return int(_iterate_trials(A, b, cfg, [rng], consume)[0])
 
 
 def _rsri_trials(
     A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One rsri run per stream, advanced in lockstep by one batched step.
+    """One rsri run per stream, advanced in lockstep.
 
     Returns the averaged iterates as dense rows (one per stream) and the
     column accesses per stream.  Row k equals
     ``rsri(A, b, cfg, streams[k]).estimate.to_dense()`` bit for bit while
-    ``A.dim <= DENSE_ACCUMULATOR_LIMIT``: iterate entries are packed as
-    the flat index ``k * dim + i`` into the (trials, dim) sum, so the
-    merge of duplicates is one ``coalesce`` over all trials and each sum
-    sees its trial's operands in the single-run order.
+    ``A.dim <= DENSE_ACCUMULATOR_LIMIT``; above it rsri sums sparsely.
     """
-    if b.dim != A.dim:
-        raise ValueError("dimension mismatch between A and b")
-    trials, dim, m = len(streams), A.dim, cfg.m
-    b_keys = (np.arange(trials)[:, None] * dim + b.indices).ravel()
-    b_vals = np.tile(b.values, trials)
-    keys, vals, trial = b_keys, b_vals, np.repeat(np.arange(trials), b.nnz)
-    total = np.zeros(trials * dim)
-    accesses = np.zeros(trials, dtype=np.int64)
-    if cfg.t_min == 0:
-        total[keys] += vals
-    for s in range(1, cfg.t):
-        kept, phi_vals = _sparsify_trials(trial, vals, m, streams)
-        phi_keys, phi_trial = keys[kept], trial[kept]
-        accesses += np.bincount(phi_trial, minlength=trials)
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports overflow
-            rows, col_vals, counts = A.gather(phi_keys - phi_trial * dim, phi_vals)
-            x = coalesce(
-                trials * dim,
-                np.concatenate([b_keys, phi_keys, np.repeat(phi_trial * dim, counts) + rows]),
-                np.concatenate([b_vals, phi_vals, -col_vals]),
-            )
-            keys, vals = x.indices, x.values
-            trial = keys // dim
-            sizes = np.bincount(trial, minlength=trials)
-            norm1 = np.zeros(trials)
-            norm1[sizes > 0] = np.add.reduceat(np.abs(vals), (sizes.cumsum() - sizes)[sizes > 0])
-            diverged = (~(norm1 * m < math.inf)).nonzero()[0]
-            if diverged.size:
-                k = diverged[0]
-                raise NonConvergenceError(
-                    f"trial {k}: iterate diverged: 1-norm {norm1[k]} at step {s}", float(norm1[k])
-                )
-            if s >= cfg.t_min:
-                total[keys] += vals  # keys are distinct: the same sums as np.add.at
-    return total.reshape(trials, dim) / (cfg.t - cfg.t_min), accesses
+    total = np.zeros(len(streams) * A.dim)
+
+    def consume(x: SparseVector):
+        total[x.indices] += x.values  # indices are distinct
+
+    accesses = _iterate_trials(A, b, cfg, streams, consume)
+    return total.reshape(len(streams), A.dim) / (cfg.t - cfg.t_min), accesses
 
 
 class _Accumulator:
@@ -234,7 +229,7 @@ class _Accumulator:
 
     def add(self, v: SparseVector):
         if self.dense is not None:
-            np.add.at(self.dense, v.indices, v.values)
+            self.dense[v.indices] += v.values  # indices are distinct
             return
         self.parts.append(v)
         self.buffered += v.nnz

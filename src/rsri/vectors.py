@@ -142,26 +142,17 @@ def norms(v: SparseVector) -> VectorNorms:
     )
 
 
-def _rearrangement(v: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    """Storage positions by decreasing ``|v|`` (ties: lower index, as
-    indices are sorted) and the tails T of that order (see tail_sums)."""
-    a = np.abs(v.values)
-    order = np.argsort(-a, kind="stable")
-    tails = np.zeros(v.nnz + 1)
-    # reverse cumulative sum: monotone nonincreasing by construction
-    tails[:-1] = np.cumsum(a[order][::-1])[::-1]
-    return order, tails
-
-
 def tail_sums(v: SparseVector) -> np.ndarray:
     """Tails of the decreasing rearrangement of ``|v|``.
 
     Returns T of length nnz + 1 with T[i] the sum of all but the i
-    largest magnitudes, so T[0] is the 1-norm and T[nnz] is zero.
-    Magnitude ties are broken by lower original index, which makes the
-    rearrangement (and everything derived from it) deterministic.
+    largest magnitudes, so T[0] is the 1-norm and T[nnz] is zero.  Each
+    tail is summed from the smallest magnitude up, so T is nonincreasing
+    and does not depend on how ties are ordered.
     """
-    return _rearrangement(v)[1]
+    tails = np.zeros(v.nnz + 1)
+    tails[:-1] = np.cumsum(np.sort(np.abs(v.values)))[::-1]
+    return tails
 
 
 def combine(alpha: float, u: SparseVector, beta: float, w: SparseVector) -> SparseVector:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,48 @@ class TestMcSurfer:
         s = SparseVector.basis(2, 0)
         with pytest.raises(ValueError, match="not stochastic"):
             mc_surfer(P, s, 0.85, 100, RandomStream(0))
+
+    def test_hub_column_moves_as_per_column_search(self):
+        # a hub of out-degree 2000 is touched together with ~2000 leaves in
+        # one step: each move must be the per-column searchsorted pick, with
+        # the uniforms handed out by ascending state, and memory must stay
+        # proportional to the entries read, not to hub degree x columns
+        n = 2000
+        P = CscMatrix(
+            n + 1,
+            np.concatenate([[0, n], n + np.arange(1, n + 1)]),
+            np.concatenate([np.arange(1, n + 1), np.zeros(n, dtype=np.int64)]),
+            np.concatenate([np.full(n, 1.0 / n), np.ones(n)]),
+        )
+        s = SparseVector(n + 1, np.arange(n + 1), np.full(n + 1, 1.0 / (n + 1)))
+        walks, alpha = 6000, 0.85
+
+        def per_column_search(rng):
+            start = np.cumsum(s.values)
+            pos = np.searchsorted(start, rng.random(walks) * start[-1], side="right")
+            states = s.indices[np.minimum(pos, s.nnz - 1)]
+            final, alive = np.empty(walks, dtype=np.int64), np.arange(walks)
+            while alive.size:
+                move = rng.random(alive.size) < alpha
+                final[alive[~move]] = states[alive[~move]]
+                alive = alive[move]
+                current = states[alive].copy()
+                for j in np.unique(current):
+                    col = P.column(int(j))
+                    cdf = np.cumsum(col.values)
+                    mask = current == j
+                    picks = np.searchsorted(cdf, rng.random(int(mask.sum())) * cdf[-1], side="right")
+                    states[alive[mask]] = col.indices[np.minimum(picks, col.nnz - 1)]
+            return np.bincount(final, minlength=n + 1) / walks
+
+        tracemalloc.start()
+        try:
+            got = mc_surfer(P, s, alpha, walks, RandomStream(3)).to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, per_column_search(RandomStream(3)))
+        assert peak < 8 * 2**20, peak
 
     def test_input_validation(self):
         P, s = self_loop()

@@ -18,6 +18,7 @@ from rsri import (
     expected_average,
     identity,
     matched_walk_count,
+    preservation_split,
     reference_solve,
     rsri,
     run_sweep,
@@ -30,7 +31,6 @@ from rsri import (
 )
 from rsri.harness import CSV_HEADER, _write_atomic
 from rsri.solvers import _rsri_trials, _run_iterates
-from rsri.sparsify import _sparsify_trials
 from rsri.svgplot import svg_line_plot
 
 from conftest import sparse_from, three_cycle_problem
@@ -136,7 +136,7 @@ class TestLockstepTrials:
         assert np.any(over.any(axis=0) & ~over.all(axis=0)), "no step mixes both kinds"
         assert_batch_is_single_runs(prob.A, prob.b, cfg)
 
-    def test_sparsify_runs_match_single_calls(self):
+    def test_stacked_sparsify_matches_single_calls(self):
         # ties, a degenerate split (1e-20 is lost against 1 in T(0), so the
         # first entry is admitted into a full set), a pass-through, an empty
         # vector and a subnormal residual
@@ -148,20 +148,33 @@ class TestLockstepTrials:
             sparse_from(6, [(0, 1.0), (1, 5e-324), (2, 0.25), (3, 0.25), (5, 0.5)]),
             sparse_from(6, [(i, 1.0 + (i % 2)) for i in range(6)]),
         ]
+        stacked = SparseVector(
+            6 * len(vectors),
+            np.concatenate([6 * k + v.indices for k, v in enumerate(vectors)]),
+            np.concatenate([v.values for v in vectors]),
+        )
         for m in (1, 2, 3):
-            trial = np.repeat(np.arange(len(vectors)), [v.nnz for v in vectors])
-            values = np.concatenate([v.values for v in vectors])
+            split = preservation_split(stacked, m, len(vectors))
             streams = [RandomStream(40 + k) for k in range(len(vectors))]
-            kept, out = _sparsify_trials(trial, values, m, streams)
-            offsets = np.cumsum([0] + [v.nnz for v in vectors])
+            out = sparsify(stacked, m, streams)
             for k, v in enumerate(vectors):
                 single = RandomStream(40 + k)
                 want = sparsify(v, m, single)
-                mine = trial[kept] == k
-                np.testing.assert_array_equal(v.indices[kept[mine] - offsets[k]], want.indices)
-                assert out[mine].tobytes() == want.values.tobytes()
+                mine = out.indices // 6 == k
+                np.testing.assert_array_equal(out.indices[mine] - 6 * k, want.indices)
+                assert out.values[mine].tobytes() == want.values.tobytes()
                 # both read the same number of uniforms
                 assert streams[k].random() == single.random()
+                alone = preservation_split(v, m)
+                for field in ("exact_indices", "residual_indices"):
+                    got = getattr(split, field)
+                    np.testing.assert_array_equal(got[got // 6 == k] - 6 * k, getattr(alone, field))
+                res = split.residual_indices // 6 == k
+                assert split.residual_probs[res].tobytes() == alone.residual_probs.tobytes()
+
+    def test_stacked_split_rejects_uneven_rows(self):
+        with pytest.raises(ValueError, match="does not hold 4 equal vectors"):
+            preservation_split(sparse_from(6, [(0, 1.0)]), 1, 4)
 
     def test_dimension_mismatch(self):
         prob = three_cycle_problem()

@@ -182,6 +182,12 @@ class TestPivotalSample:
             np.testing.assert_array_equal(np.flatnonzero(row), pivotal_sample(p, rng))
 
 
+    @pytest.mark.parametrize("p", [np.array([0.2, 0.8, 0.6, 0.4]), np.array([1.0 - 2.0**-53])])
+    def test_zero_draws_give_an_empty_matrix(self, p):
+        # the second vector needs completion, which must not index a draw
+        assert pivotal_sample_batch(p, RandomStream(21), 0).shape == (0, p.size)
+
+
 class TestPaddedRows:
     def test_rows_equal_separate_single_draws(self, np_rng):
         # rows of different lengths and targets, zero-padded on the right,
