@@ -41,12 +41,21 @@ def _validate_walk_inputs(s: SparseVector, alpha: float):
         raise ValueError("s must be a probability vector")
 
 
-def _stochastic_column(P: ColumnMatrix, j: int) -> SparseVector:
-    col = P.column(j)
-    total = float(col.values.sum()) if col.nnz else 0.0
-    if abs(total - 1.0) > STOCHASTIC_TOL or (col.nnz and col.values.min() < 0.0):
-        raise ValueError(f"column {j} of P is not stochastic (sum {total!r})")
-    return col
+def _stochastic_columns(P: ColumnMatrix, cols: np.ndarray):
+    """Flat (rows, values, per-column counts) of columns cols of P, read by
+    one gather; raises ValueError naming the first that is not stochastic."""
+    rows, vals, counts = P.gather(cols, np.ones(cols.size))
+    starts = counts.cumsum() - counts
+    totals, lows = np.zeros(cols.size), np.zeros(cols.size)
+    full = counts > 0
+    if rows.size:
+        totals[full] = np.add.reduceat(vals, starts[full])
+        lows[full] = np.minimum.reduceat(vals, starts[full])
+    bad = ((np.abs(totals - 1.0) > STOCHASTIC_TOL) | (lows < 0.0)).nonzero()[0]
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"column {cols[k]} of P is not stochastic (sum {float(totals[k])!r})")
+    return rows, vals, counts
 
 
 def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -61,17 +70,8 @@ def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.nda
     number of entries read.
     """
     cols, which = np.unique(current, return_inverse=True)
-    rows, vals, counts = P.gather(cols, np.ones(cols.size))
+    rows, vals, counts = _stochastic_columns(P, cols)
     starts = counts.cumsum() - counts
-    totals, lows = np.zeros(cols.size), np.zeros(cols.size)
-    full = counts > 0
-    if rows.size:
-        totals[full] = np.add.reduceat(vals, starts[full])
-        lows[full] = np.minimum.reduceat(vals, starts[full])
-    bad = ((np.abs(totals - 1.0) > STOCHASTIC_TOL) | (lows < 0.0)).nonzero()[0]
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"column {cols[k]} of P is not stochastic (sum {float(totals[k])!r})")
     cdf = np.empty(rows.size)
     shift = np.frexp(counts - 1)[1]  # the width 2**shift is the least power of two >= count
     for e in np.unique(shift).tolist():
@@ -169,7 +169,7 @@ def push_cd(
     rec_steps = np.arange(steps + 1)
     rec_res = np.empty(steps + 1)
     rec_err = np.empty(steps + 1) if track_error else None
-    columns: dict[int, SparseVector] = {}
+    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     done = 0
     for step in range(steps + 1):
@@ -186,9 +186,9 @@ def push_cd(
         x_hat[i] += rho
         r[i] = 0.0
         if i not in columns:
-            columns[i] = _stochastic_column(P, i)
-        col = columns[i]
-        r[col.indices] += alpha * rho * col.values
+            columns[i] = _stochastic_columns(P, np.array([i]))[:2]
+        rows, vals = columns[i]
+        r[rows] += alpha * rho * vals
 
     trace = ResidualTrace(
         steps=rec_steps[: done + 1],

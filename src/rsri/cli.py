@@ -23,6 +23,13 @@ from .vectors import SparseVector
 __all__ = ["cli_main", "main"]
 
 
+def _m_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsri", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -30,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flags = {
         "--alpha": dict(type=float, default=DEFAULT_ALPHA),
         "--source": dict(type=int, default=0),
-        "--m": dict(default="32", help="sparsity level (mc: walks); comma list for sweep"),
+        "--m": dict(type=int, default=32, help="sparsity level (mc: walks)"),
         "--t": dict(type=int, default=1000, help="iterations (push: steps)"),
         "--tmin": dict(type=int, default=None, help="burn-in (default t/2)"),
         "--seed": dict(type=int, default=0),
@@ -42,21 +49,22 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in names.split():
             p.add_argument(name, **flags[name])
 
-    solver = "--m --t --tmin --seed --out"
+    solver = "--t --tmin --seed --out"
 
     p_solve = sub.add_parser("solve", help="solve A x = b from Matrix Market + b file")
     p_solve.add_argument("matrix")
     p_solve.add_argument("rhs", help="text file of 'index value' lines, 0-based")
-    add_flags(p_solve, solver)
+    add_flags(p_solve, "--m " + solver)
 
     p_pr = sub.add_parser("pagerank", help="personalized ranking from an edge list")
     p_pr.add_argument("edges")
     p_pr.add_argument("--topk", type=int, default=10)
-    add_flags(p_pr, "--alpha --source " + solver)
+    add_flags(p_pr, "--alpha --source --m " + solver)
 
     p_sweep = sub.add_parser("sweep", help="rmse vs sparsity level, CSV + SVG")
     p_sweep.add_argument("edges")
     p_sweep.add_argument("--trials", type=int, default=10)
+    p_sweep.add_argument("--m", type=_m_list, default=[32], help="ascending sparsity levels, comma list")
     add_flags(p_sweep, "--alpha --source --oracle-tol " + solver)
 
     p_tail = sub.add_parser("tail", help="tail decay of the reference solution")
@@ -95,16 +103,15 @@ def _estimate_csv(estimate: SparseVector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config(args, **extra) -> RsriConfig:
+def _config(args, m: int, **extra) -> RsriConfig:
     t_min = args.tmin if args.tmin is not None else args.t // 2
-    m = int(str(args.m).split(",")[0])
     return RsriConfig(m=m, t=args.t, t_min=t_min, seed=args.seed, **extra)
 
 
 def _cmd_solve(args) -> int:
     A = load_matrix_market(args.matrix)
     b = _load_rhs(args.rhs, A.dim)
-    cfg = _config(args)
+    cfg = _config(args, args.m)
     report = rsri(A, b, cfg, RandomStream(cfg.seed))
     _emit(_estimate_csv(report.estimate), args.out)
     print(
@@ -119,7 +126,7 @@ def _cmd_solve(args) -> int:
 def _cmd_pagerank(args) -> int:
     edges = load_edge_list(args.edges)
     problem = build_problem(edges, args.alpha, args.source)
-    cfg = _config(args)
+    cfg = _config(args, args.m)
     report = rsri(problem.A, problem.b, cfg, RandomStream(cfg.seed))
     est = report.estimate
     label_of = {dense: label for label, dense in edges.id_map.items()}
@@ -135,12 +142,11 @@ def _cmd_pagerank(args) -> int:
 def _cmd_sweep(args) -> int:
     edges = load_edge_list(args.edges)
     problem = build_problem(edges, args.alpha, args.source)
-    cfg = _config(args, trials=args.trials)
-    m_list = [int(tok) for tok in str(args.m).split(",") if tok]
+    cfg = _config(args, args.m[0], trials=args.trials)
     csv_path = args.out or "sweep.csv"
     svg_path = str(Path(csv_path).with_suffix(".svg"))
     oracle = reference_solve(problem.A, problem.b, tol=args.oracle_tol)
-    run_sweep(problem, cfg, m_list, oracle, csv_path=csv_path, svg_path=svg_path)
+    run_sweep(problem, cfg, args.m, oracle, csv_path=csv_path, svg_path=svg_path)
     print(f"wrote {csv_path} and {svg_path}", file=sys.stderr)
     return 0
 
@@ -158,10 +164,9 @@ def _cmd_baseline(args) -> int:
     problem = build_problem(edges, args.alpha, args.source)
     oracle = reference_solve(problem.A, problem.b, tol=args.oracle_tol)
     if args.kind == "mc":
-        walks = int(str(args.m).split(",")[0])
-        est = mc_surfer(problem.P, problem.s, args.alpha, walks, RandomStream(args.seed))
+        est = mc_surfer(problem.P, problem.s, args.alpha, args.m, RandomStream(args.seed))
         err = float(np.linalg.norm(est.to_dense() - oracle))
-        print(f"mc walks={walks} error_2={_fmt(err)}")
+        print(f"mc walks={args.m} error_2={_fmt(err)}")
         if args.out:
             _emit(_estimate_csv(est), args.out)
     else:

@@ -1,7 +1,8 @@
 """Experiment driver: RMSE estimation over trials, m-sweeps, tail reports.
 
 Trials run in lockstep through one batched solver step, trial k on
-spawn_stream(seed, k) and bit-identical to rsri on that stream alone;
+spawn_stream(seed, k) and, while the dimension is at most
+DENSE_ACCUMULATOR_LIMIT, bit-identical to rsri on that stream alone;
 the matched-cost Monte Carlo trials run one after another.  Sweep CSVs
 are byte-stable across identical runs: everything written is a pure
 function of the flags and seed, which is why measured wall-clock times
@@ -21,7 +22,7 @@ import numpy as np
 
 from .baselines import mc_surfer
 from .sampling import RandomStream, spawn_stream
-from .solvers import RsriConfig, _rsri_trials
+from .solvers import RsriConfig, _rsri_trials, reference_solve
 from .svgplot import svg_line_plot
 from .vectors import SparseVector, tail_sums
 
@@ -58,16 +59,6 @@ class RmseEstimate:
     wall_clock_s: float
 
 
-def _trial_estimates(problem, cfg: RsriConfig) -> tuple[np.ndarray, int, float]:
-    """X-bar per trial as dense rows, plus mean accesses and wall time."""
-    master = RandomStream(cfg.seed)
-    start = time.perf_counter()
-    streams = [spawn_stream(master, k) for k in range(cfg.trials)]
-    estimates, accesses = _rsri_trials(problem.A, problem.b, cfg, streams)
-    wall = time.perf_counter() - start
-    return estimates, int(round(float(np.mean(accesses)))), wall
-
-
 def estimate_rmse(problem, cfg: RsriConfig, oracle: np.ndarray) -> RmseEstimate:
     """Root-mean-square error, bias norm, and sample variance over trials.
 
@@ -77,14 +68,20 @@ def estimate_rmse(problem, cfg: RsriConfig, oracle: np.ndarray) -> RmseEstimate:
     if cfg.trials < 2:
         raise ValueError("estimate_rmse needs at least 2 trials")
     oracle = np.asarray(oracle, dtype=np.float64)
-    estimates, accesses, wall = _trial_estimates(problem, cfg)
+    master = RandomStream(cfg.seed)
+    start = time.perf_counter()
+    streams = [spawn_stream(master, k) for k in range(cfg.trials)]
+    average, accesses = _rsri_trials(problem.A, problem.b, cfg, streams)
+    wall = time.perf_counter() - start
+    estimates = average.to_dense().reshape(cfg.trials, problem.A.dim)
     errors = estimates - oracle
     rmse = float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
     mean_est = estimates.mean(axis=0)
     bias_norm = float(np.linalg.norm(mean_est - oracle))
     centered = estimates - mean_est
     variance_est = float(np.sum(centered * centered) / (cfg.trials - 1))
-    return RmseEstimate(rmse, bias_norm, variance_est, accesses, wall)
+    mean_accesses = round(float(np.mean(accesses)))
+    return RmseEstimate(rmse, bias_norm, variance_est, mean_accesses, wall)
 
 
 def matched_walk_count(column_accesses: int, alpha: float) -> int:
@@ -128,8 +125,6 @@ def run_sweep(
     if not m_list or list(m_list) != sorted(m_list):
         raise ValueError("m_list must be nonempty and ascending")
     if oracle is None:
-        from .solvers import reference_solve
-
         oracle = reference_solve(problem.A, problem.b, tol=oracle_tol)
     rows = []
     for m in m_list:

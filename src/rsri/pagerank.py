@@ -91,10 +91,17 @@ def load_edge_list(path) -> EdgeList:
     )
 
 
+def _distinct_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (src, dst) pairs in lexicographic order, from one sort
+    of the int64 keys ``src * n + dst``."""
+    keys = np.sort(src * n + dst)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return keys // n, keys % n
+
+
 def _transition_matrix(edges: EdgeList, source: int) -> CscMatrix:
     n = edges.node_count
-    pairs = np.unique(np.stack([edges.src, edges.dst], axis=1), axis=0)
-    src, dst = pairs[:, 0], pairs[:, 1]
+    src, dst = _distinct_edges(n, edges.src, edges.dst)
     out_deg = np.bincount(src, minlength=n)
     dangling = np.flatnonzero(out_deg == 0)
     cols = np.concatenate([src, dangling])
@@ -146,10 +153,5 @@ def synth_bounded_outdegree(N: int, q: int, seed: int) -> EdgeList:
     degrees = rng.integers(1, q + 1, size=N)
     src = np.repeat(np.arange(N, dtype=np.int64), degrees)
     dst = rng.integers(0, N, size=int(degrees.sum()), dtype=np.int64)
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    return EdgeList(
-        node_count=N,
-        src=pairs[:, 0],
-        dst=pairs[:, 1],
-        id_map={i: i for i in range(N)},
-    )
+    src, dst = _distinct_edges(N, src, dst)
+    return EdgeList(node_count=N, src=src, dst=dst, id_map={i: i for i in range(N)})

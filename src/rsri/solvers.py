@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class SolveReport:
     column_accesses: int
     wall_clock: float
     rng_kind: str
-    functionals: Optional[list[float]] = None
 
 
 @dataclass(frozen=True)
@@ -181,49 +180,18 @@ def _iterate_trials(
     return accesses
 
 
-def _run_iterates(
-    A: ColumnMatrix,
-    b: SparseVector,
-    cfg: RsriConfig,
-    rng: RandomStream,
-    consume: Callable[[SparseVector], None],
-) -> int:
-    """The iteration on one stream: rsri and rsri_functionals share it, so
-    identical streams see identical iterates.  Returns the column accesses."""
-    return int(_iterate_trials(A, b, cfg, [rng], consume)[0])
-
-
-def _rsri_trials(
-    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One rsri run per stream, advanced in lockstep.
-
-    Returns the averaged iterates as dense rows (one per stream) and the
-    column accesses per stream.  Row k equals
-    ``rsri(A, b, cfg, streams[k]).estimate.to_dense()`` bit for bit while
-    ``A.dim <= DENSE_ACCUMULATOR_LIMIT``; above it rsri sums sparsely.
-    """
-    total = np.zeros(len(streams) * A.dim)
-
-    def consume(x: SparseVector):
-        total[x.indices] += x.values  # indices are distinct
-
-    accesses = _iterate_trials(A, b, cfg, streams, consume)
-    return total.reshape(len(streams), A.dim) / (cfg.t - cfg.t_min), accesses
-
-
 class _Accumulator:
-    """Running sum of sparse iterates.
+    """Running sum of sparse iterates, dense or sparse as the caller asks.
 
-    Up to DENSE_ACCUMULATOR_LIMIT the sum is a dense array.  Above it (the
-    regime where the solution itself is too large to store densely) the
-    sum is a SparseVector; iterates are buffered behind it and folded in
-    with one coalesce once their entries outnumber its support, so a fold
-    costs about as much as the entries it absorbs.
+    A dense sum is one array.  A sparse sum (the regime where the solution
+    itself is too large to store densely) is a SparseVector; iterates are
+    buffered behind it and folded in with one coalesce once their entries
+    outnumber its support, so a fold costs about as much as the entries it
+    absorbs.
     """
 
-    def __init__(self, dim: int):
-        self.dense = np.zeros(dim) if dim <= DENSE_ACCUMULATOR_LIMIT else None
+    def __init__(self, dim: int, dense: bool):
+        self.dense = np.zeros(dim) if dense else None
         self.parts = [SparseVector.empty(dim)]  # running sum, then buffered iterates
         self.buffered = 0
 
@@ -252,6 +220,23 @@ class _Accumulator:
         return SparseVector(total.dim, total.indices[keep], val[keep])
 
 
+def _rsri_trials(
+    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream]
+) -> tuple[SparseVector, np.ndarray]:
+    """One rsri run per stream, advanced in lockstep and summed in one
+    _Accumulator.
+
+    Returns the averaged iterates stacked as one SparseVector, entry i of
+    run k at index ``k * A.dim + i``, and the column accesses per stream.
+    The sum is dense while ``A.dim <= DENSE_ACCUMULATOR_LIMIT``, whatever
+    the number of streams, and run k then equals rsri on streams[k] alone
+    bit for bit; above the limit the sum is sparse.
+    """
+    acc = _Accumulator(len(streams) * A.dim, A.dim <= DENSE_ACCUMULATOR_LIMIT)
+    accesses = _iterate_trials(A, b, cfg, streams, acc.add)
+    return acc.average(cfg.t - cfg.t_min), accesses
+
+
 def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -> SolveReport:
     """Randomly sparsified Richardson iteration.
 
@@ -260,12 +245,10 @@ def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -
     iterates s = t_min .. t - 1 along with the exact column-access count.
     """
     start = time.perf_counter()
-    acc = _Accumulator(A.dim)
-    accesses = _run_iterates(A, b, cfg, rng, acc.add)
-    estimate = acc.average(cfg.t - cfg.t_min)
+    estimate, accesses = _rsri_trials(A, b, cfg, [rng])
     return SolveReport(
         estimate=estimate,
-        column_accesses=accesses,
+        column_accesses=int(accesses[0]),
         wall_clock=time.perf_counter() - start,
         rng_kind=rng.kind,
     )
@@ -294,7 +277,7 @@ def rsri_functionals(
         for k, f in enumerate(fs):
             totals[k] += dot(f, x)
 
-    _run_iterates(A, b, cfg, rng, consume)
+    _iterate_trials(A, b, cfg, [rng], consume)
     count = cfg.t - cfg.t_min
     return [t / count for t in totals]
 

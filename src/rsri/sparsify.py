@@ -176,8 +176,12 @@ def sparsify(
 
 
 def sparsify_l2_bound(v: SparseVector, m: int) -> float:
-    """Mean-square sparsification error bound min_i tail(i)^2 / (m - i)."""
+    """Mean-square sparsification error bound min_i tail(i)^2 / (m - i).
+
+    A bound beyond the float range reads inf.
+    """
     if m < 1:
         raise ValueError(f"sparsity level m must be >= 1, got {m}")
     i = np.arange(min(m - 1, v.nnz) + 1)
-    return float(np.min(tail_sums(v)[i] ** 2 / (m - i)))
+    with np.errstate(over="ignore"):
+        return float(np.min(tail_sums(v)[i] ** 2 / (m - i)))

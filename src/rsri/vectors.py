@@ -132,12 +132,17 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
 
 
 def norms(v: SparseVector) -> VectorNorms:
-    """One, two, and infinity norms plus the stored-entry count."""
+    """One, two, and infinity norms plus the stored-entry count.
+
+    The two-norm squares the magnitudes divided by the largest, so it
+    neither overflows nor underflows where the norm itself does not.
+    """
     a = np.abs(v.values)
+    inf = float(a.max()) if a.size else 0.0
     return VectorNorms(
         one=float(np.sum(a)),
-        two=float(np.sqrt(np.sum(a * a))),
-        inf=float(a.max()) if a.size else 0.0,
+        two=inf * float(np.sqrt(np.sum((a / inf) ** 2))) if inf else 0.0,
+        inf=inf,
         nnz=v.nnz,
     )
 

@@ -80,6 +80,19 @@ class TestArgumentErrors:
         assert flag in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command,value", [
+        (["solve", "id.mtx", "b.txt"], "2,3"),
+        (["pagerank", "edges.txt"], "2,999"),
+        (["baseline", "mc", "edges.txt"], "5,7"),
+        (["sweep", "edges.txt"], "2,,4"),
+        (["sweep", "edges.txt"], "2,"),
+        (["sweep", "edges.txt"], "2,x"),
+    ])
+    def test_malformed_m_rejected(self, command, value, capsys):
+        assert cli_main(command + ["--m", value]) == 1
+        assert "--m" in capsys.readouterr().err
+
+
 class TestOutputFiles:
     def test_failed_emit_keeps_old_file(self, tmp_path):
         out = tmp_path / "est.csv"

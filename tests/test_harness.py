@@ -30,7 +30,7 @@ from rsri import (
     tail_sums,
 )
 from rsri.harness import CSV_HEADER, _write_atomic
-from rsri.solvers import _rsri_trials, _run_iterates
+from rsri.solvers import _iterate_trials, _rsri_trials
 from rsri.svgplot import svg_line_plot
 
 from conftest import sparse_from, three_cycle_problem
@@ -94,7 +94,8 @@ def single_runs(A, b, cfg):
 
 def batch_runs(A, b, cfg):
     master = RandomStream(cfg.seed)
-    return _rsri_trials(A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)])
+    average, accesses = _rsri_trials(A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)])
+    return average.to_dense().reshape(cfg.trials, A.dim), accesses
 
 
 def assert_batch_is_single_runs(A, b, cfg):
@@ -130,7 +131,7 @@ class TestLockstepTrials:
         sizes = []
         for k in range(cfg.trials):
             seen = []
-            _run_iterates(prob.A, prob.b, cfg, spawn_stream(master, k), lambda x: seen.append(x.nnz))
+            _iterate_trials(prob.A, prob.b, cfg, [spawn_stream(master, k)], lambda x: seen.append(x.nnz))
             sizes.append(seen)
         over = np.array(sizes) > cfg.m  # per trial and step: does sparsify draw?
         assert np.any(over.any(axis=0) & ~over.all(axis=0)), "no step mixes both kinds"

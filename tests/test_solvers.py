@@ -5,6 +5,8 @@ import pytest
 
 from rsri import (
     CscMatrix,
+    DenseColumnMatrix,
+    FunctionColumnMatrix,
     NonConvergenceError,
     RandomStream,
     RsriConfig,
@@ -12,13 +14,14 @@ from rsri import (
     dot,
     expected_average,
     identity,
+    matrix_norm1_of_g,
     reference_solve,
     richardson,
     rsri,
     rsri_functionals,
     spawn_stream,
 )
-from rsri.solvers import _run_iterates
+from rsri.solvers import _iterate_trials
 
 from conftest import random_contraction_system, sparse_from, three_cycle_problem
 
@@ -138,21 +141,34 @@ class TestRsri:
         cfg = RsriConfig(m=2, t=50, t_min=10, seed=3, trials=1)
         counts = []
         rng = RandomStream(3)
-        accesses = _run_iterates(prob.A, prob.b, cfg, rng, lambda x: counts.append(x.nnz))
+        (accesses,) = _iterate_trials(prob.A, prob.b, cfg, [rng], lambda x: counts.append(x.nnz))
         rep = rsri(prob.A, prob.b, cfg, RandomStream(3))
         assert rep.column_accesses == accesses
         assert rep.column_accesses <= cfg.m * (cfg.t - 1)
 
-    def test_iterate_one_norms_stay_bounded(self):
-        prob = three_cycle_problem()
-        cfg = RsriConfig(m=1, t=200, t_min=0, seed=11, trials=1)
+    @pytest.mark.parametrize("backing", ["csc", "dense", "function"])
+    def test_iterate_one_norms_stay_bounded(self, backing):
+        # sparsify keeps the 1-norm, so ||X_s||_1 <= ||b||_1 + g ||X_{s-1}||_1 on every
+        # draw; with G >= 0, b >= 0 and every column of G summing to g it is an
+        # equality, so a norm gain beyond the 1e-12 slack fails
+        _, b, G, _ = random_contraction_system(np.random.default_rng(31), 40)
+        G *= 0.9 / G.sum(axis=0)
+        A = CscMatrix.from_dense(np.eye(40) - G)
+        A = {
+            "csc": A,
+            "dense": DenseColumnMatrix(np.eye(40) - G),
+            "function": FunctionColumnMatrix(40, A.column),
+        }[backing]
+        g = matrix_norm1_of_g(A)
+        cfg = RsriConfig(m=5, t=300, t_min=0, seed=12, trials=1)
         norms_seen = []
-        _run_iterates(
-            prob.A, prob.b, cfg, RandomStream(11),
+        _iterate_trials(
+            A, b, cfg, [RandomStream(12)],
             lambda x: norms_seen.append(float(np.abs(x.values).sum())),
         )
-        cap = float(np.abs(prob.b.values).sum()) / (1.0 - 0.85)
-        assert max(norms_seen) <= cap * (1.0 + 1e-12)
+        s = np.arange(cfg.t)
+        bound = float(np.abs(b.values).sum()) * (1.0 - g ** (s + 1)) / (1.0 - g)
+        assert np.all(np.array(norms_seen) <= bound * (1.0 + 1e-12))
 
     def test_same_seed_determinism(self):
         prob = three_cycle_problem()
@@ -182,6 +198,9 @@ class TestRsri:
         prob = build_problem(synth_bounded_outdegree(300, 3, seed=4), 0.85, source=0)
         cfg = RsriConfig(m=8, t=300, t_min=100, seed=9, trials=1)
         dense_rep = rsri(prob.A, prob.b, cfg, RandomStream(9))
+        master = RandomStream(9)
+        dense_rows = [rsri(prob.A, prob.b, cfg, spawn_stream(master, k)).estimate.to_dense()
+                      for k in range(3)]
 
         folded = []  # iterates absorbed per fold
         fold = solvers._Accumulator._fold
@@ -197,6 +216,15 @@ class TestRsri:
         assert sum(folded) == cfg.t - cfg.t_min
         np.testing.assert_array_equal(dense_rep.estimate.indices, sparse_rep.estimate.indices)
         np.testing.assert_allclose(dense_rep.estimate.values, sparse_rep.estimate.values, rtol=1e-13)
+
+        # the lockstep runs sum sparsely above the limit too, one row per stream
+        folded.clear()
+        master = RandomStream(9)
+        average, _ = solvers._rsri_trials(prob.A, prob.b, cfg, [spawn_stream(master, k) for k in range(3)])
+        assert sum(folded) == cfg.t - cfg.t_min
+        rows = average.to_dense().reshape(3, prob.A.dim)
+        for k in range(3):
+            np.testing.assert_allclose(rows[k], dense_rows[k], rtol=1e-13)
 
     def test_pagerank_error_bound(self):
         # loose but fully evaluable bound: triple-norm transfer with the

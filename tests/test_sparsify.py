@@ -50,13 +50,27 @@ values = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 signed_values = st.one_of(values, values.map(lambda x: -x))
 
 
+# per-entry magnitude scales of one vector: far from 1 yet normal,
+# subnormal (2**-1060 leaves at most 24 significant bits), and mixtures
+scales = st.sampled_from(
+    [(1.0,), (1e-300,), (1e300,), (2.0**-1060,), (1.0, 2.0**-1060), (1e300, 1e-300)]
+)
+
+
 @st.composite
 def vectors_and_m(draw):
     dim = draw(st.integers(min_value=1, max_value=16))
     idx = draw(
         st.lists(st.integers(0, dim - 1), unique=True, min_size=1, max_size=dim)
     )
-    vals = draw(st.lists(signed_values, min_size=len(idx), max_size=len(idx)))
+    n = len(idx)
+    if draw(st.booleans()):
+        vals = draw(st.lists(signed_values, min_size=n, max_size=n))
+    else:  # a pool of at most two magnitudes forces ties
+        pool = draw(st.lists(values, min_size=1, max_size=2))
+        vals = [draw(st.sampled_from(pool)) * draw(st.sampled_from([1.0, -1.0])) for _ in idx]
+    scale = draw(scales)
+    vals = [x * draw(st.sampled_from(scale)) for x in vals]
     m = draw(st.integers(min_value=1, max_value=8))
     return sparse_from(dim, list(zip(idx, vals))), m
 
