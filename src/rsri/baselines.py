@@ -37,7 +37,7 @@ class ResidualTrace:
 def _validate_walk_inputs(s: SparseVector, alpha: float):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if s.nnz == 0 or np.any(s.values < 0.0) or abs(float(s.values.sum()) - 1.0) > STOCHASTIC_TOL:
+    if s.nnz == 0 or not (np.all(s.values >= 0.0) and abs(s.values.sum() - 1.0) <= STOCHASTIC_TOL):
         raise ValueError("s must be a probability vector")
 
 
@@ -45,13 +45,11 @@ def _stochastic_columns(P: ColumnMatrix, cols: np.ndarray):
     """Flat (rows, values, per-column counts) of columns cols of P, read by
     one gather; raises ValueError naming the first that is not stochastic."""
     rows, vals, counts = P.gather(cols, np.ones(cols.size))
-    starts = counts.cumsum() - counts
-    totals, lows = np.zeros(cols.size), np.zeros(cols.size)
-    full = counts > 0
-    if rows.size:
-        totals[full] = np.add.reduceat(vals, starts[full])
-        lows[full] = np.minimum.reduceat(vals, starts[full])
-    bad = ((np.abs(totals - 1.0) > STOCHASTIC_TOL) | (lows < 0.0)).nonzero()[0]
+    ids = np.repeat(np.arange(cols.size), counts)
+    totals = np.bincount(ids, weights=vals, minlength=cols.size)
+    # NaN fails every comparison, so both tests are written to reject it
+    negative = np.bincount(ids[~(vals >= 0.0)], minlength=cols.size)
+    bad = (~(np.abs(totals - 1.0) <= STOCHASTIC_TOL) | (negative > 0)).nonzero()[0]
     if bad.size:
         k = bad[0]
         raise ValueError(f"column {cols[k]} of P is not stochastic (sum {float(totals[k])!r})")

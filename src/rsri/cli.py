@@ -30,6 +30,15 @@ def _m_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsri", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser("pagerank", help="personalized ranking from an edge list")
     p_pr.add_argument("edges")
-    p_pr.add_argument("--topk", type=int, default=10)
+    p_pr.add_argument("--topk", type=_positive_int, default=10)
     add_flags(p_pr, "--alpha --source --m " + solver)
 
     p_sweep = sub.add_parser("sweep", help="rmse vs sparsity level, CSV + SVG")

@@ -1,8 +1,7 @@
 """Experiment driver: RMSE estimation over trials, m-sweeps, tail reports.
 
 Trials run in lockstep through one batched solver step, trial k on
-spawn_stream(seed, k) and, while the dimension is at most
-DENSE_ACCUMULATOR_LIMIT, bit-identical to rsri on that stream alone;
+spawn_stream(seed, k) and bit-identical to rsri on that stream alone;
 the matched-cost Monte Carlo trials run one after another.  Sweep CSVs
 are byte-stable across identical runs: everything written is a pure
 function of the flags and seed, which is why measured wall-clock times
@@ -113,7 +112,6 @@ def run_sweep(
     csv_path=None,
     svg_path=None,
     log=sys.stderr,
-    oracle_tol: float = 1e-12,
 ) -> list[SweepRow]:
     """One RMSE row per sparsity level, optionally written as CSV and SVG.
 
@@ -125,24 +123,14 @@ def run_sweep(
     if not m_list or list(m_list) != sorted(m_list):
         raise ValueError("m_list must be nonempty and ascending")
     if oracle is None:
-        oracle = reference_solve(problem.A, problem.b, tol=oracle_tol)
+        oracle = reference_solve(problem.A, problem.b)
     rows = []
     for m in m_list:
         cfg = replace(base_cfg, m=int(m))
         est = estimate_rmse(problem, cfg, oracle)
         walks = matched_walk_count(est.column_accesses, problem.alpha)
         mc = _mc_rmse(problem, walks, cfg.trials, cfg.seed, oracle)
-        rows.append(
-            SweepRow(
-                m=int(m),
-                rmse=est.rmse,
-                bias_norm=est.bias_norm,
-                variance_est=est.variance_est,
-                mc_rmse=mc,
-                wall_clock_s=est.wall_clock_s,
-                column_accesses=est.column_accesses,
-            )
-        )
+        rows.append(SweepRow(m=int(m), mc_rmse=mc, **vars(est)))
         if log is not None:
             print(
                 f"sweep m={m}: rmse={est.rmse:.3e} mc_rmse={mc:.3e} "

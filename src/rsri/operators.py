@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .vectors import SparseVector, combine
+from .vectors import SparseVector, coalesce, combine
 
 __all__ = [
     "ColumnMatrix",
@@ -105,15 +105,10 @@ class CscMatrix(ColumnMatrix):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        keys = cols * dim + rows
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=vals)
-        keep = sums != 0.0
-        uniq, sums = uniq[keep], sums[keep]
-        ucols, urows = uniq // dim, uniq % dim
+        entries = coalesce(dim * dim, cols * dim + rows, vals)
         indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ucols, minlength=dim), out=indptr[1:])
-        return cls(dim, indptr, urows, sums)
+        np.cumsum(np.bincount(entries.indices // dim, minlength=dim), out=indptr[1:])
+        return cls(dim, indptr, entries.indices % dim, entries.values)
 
     @classmethod
     def from_dense(cls, arr) -> "CscMatrix":

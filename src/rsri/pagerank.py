@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CscMatrix, _read_table
-from .vectors import SparseVector
+from .vectors import SparseVector, coalesce
 
 __all__ = [
     "EdgeList",
@@ -92,10 +92,9 @@ def load_edge_list(path) -> EdgeList:
 
 
 def _distinct_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (src, dst) pairs in lexicographic order, from one sort
-    of the int64 keys ``src * n + dst``."""
-    keys = np.sort(src * n + dst)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    """The distinct (src, dst) pairs in lexicographic order, as the indices
+    of the int64 keys ``src * n + dst`` coalesced."""
+    keys = coalesce(n * n, src * n + dst, np.ones(src.size)).indices
     return keys // n, keys % n
 
 

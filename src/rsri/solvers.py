@@ -187,7 +187,9 @@ class _Accumulator:
     itself is too large to store densely) is a SparseVector; iterates are
     buffered behind it and folded in with one coalesce once their entries
     outnumber its support, so a fold costs about as much as the entries it
-    absorbs.
+    absorbs.  The running sum goes first in a fold and coalesce adds in
+    input order, so both layouts add each entry's terms in iterate order
+    and give the same bits, whatever the fold schedule.
     """
 
     def __init__(self, dim: int, dense: bool):
@@ -228,9 +230,9 @@ def _rsri_trials(
 
     Returns the averaged iterates stacked as one SparseVector, entry i of
     run k at index ``k * A.dim + i``, and the column accesses per stream.
-    The sum is dense while ``A.dim <= DENSE_ACCUMULATOR_LIMIT``, whatever
-    the number of streams, and run k then equals rsri on streams[k] alone
-    bit for bit; above the limit the sum is sparse.
+    Run k equals rsri on streams[k] alone bit for bit.  The sum is dense
+    while ``A.dim <= DENSE_ACCUMULATOR_LIMIT``, whatever the number of
+    streams, and sparse above it; the limit chooses the memory layout only.
     """
     acc = _Accumulator(len(streams) * A.dim, A.dim <= DENSE_ACCUMULATOR_LIMIT)
     accesses = _iterate_trials(A, b, cfg, streams, acc.add)

@@ -103,19 +103,25 @@ class SparseVector:
 
 
 def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
-    """Sum duplicate indices, drop exact zeros, and return a SparseVector."""
+    """Sum duplicate indices, drop exact zeros, and return a SparseVector.
+
+    Each index's values are added one at a time in input order, starting
+    from 0.0, as a Python loop would add them.  Callers rely on this: a
+    running sum placed first and then added to term by term gives the same
+    bits however the terms are batched.
+    """
     if len(indices) == 0:
         return SparseVector.empty(dim)
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     order = _stable_order(indices, dim)
     si = indices[order]
-    sv = values[order]
-    starts = np.flatnonzero(np.diff(si)) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), starts])
-    sums = np.add.reduceat(sv, starts)
+    first = np.empty(si.size, dtype=bool)  # first entry of each index's run
+    first[0] = True
+    np.not_equal(si[1:], si[:-1], out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=values[order])
     keep = sums != 0.0
-    return SparseVector._make(dim, si[starts[keep]], sums[keep])
+    return SparseVector._make(dim, si[first][keep], sums[keep])
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:

@@ -74,10 +74,11 @@ class TestMcSurfer:
         assert np.all(np.abs(var_hat - mu2) <= 4 * np.sqrt(var_of_var))
 
     def test_rejects_nonstochastic_column(self):
-        P = CscMatrix.from_dense(np.array([[0.9, 0.0], [0.0, 1.0]]))
         s = SparseVector.basis(2, 0)
-        with pytest.raises(ValueError, match="not stochastic"):
-            mc_surfer(P, s, 0.85, 100, RandomStream(0))
+        for column in ([0.9, 0.0], [np.nan, 0.0]):  # NaN fails every comparison
+            P = CscMatrix.from_dense(np.array([column, [0.0, 1.0]]).T)
+            with pytest.raises(ValueError, match="not stochastic"):
+                mc_surfer(P, s, 0.85, 100, RandomStream(0))
 
     def test_hub_column_moves_as_per_column_search(self):
         # a hub of out-degree 2000 is touched together with ~2000 leaves in
@@ -127,9 +128,9 @@ class TestMcSurfer:
             mc_surfer(P, s, 0.0, 10, RandomStream(0))
         with pytest.raises(ValueError):
             mc_surfer(P, s, 0.85, 0, RandomStream(0))
-        bad_s = sparse_from(1, [(0, 0.5)])
-        with pytest.raises(ValueError):
-            mc_surfer(P, bad_s, 0.85, 10, RandomStream(0))
+        for bad_s in (sparse_from(1, [(0, 0.5)]), sparse_from(1, [(0, np.nan)])):
+            with pytest.raises(ValueError):
+                mc_surfer(P, bad_s, 0.85, 10, RandomStream(0))
 
     def test_walk_cap_guards_against_immortal_walkers(self):
         from rsri import WalkCapError
@@ -199,7 +200,8 @@ class TestPushCd:
             push_cd(prob.P, prob.s, 0.85, -1)
 
     def test_rejects_nonstochastic_column(self):
-        P = CscMatrix.from_dense(np.array([[0.9, 0.0], [0.0, 1.0]]))
         s = SparseVector.basis(2, 0)
-        with pytest.raises(ValueError, match="not stochastic"):
-            push_cd(P, s, 0.85, 10)
+        for column in ([0.9, 0.0], [np.nan, 0.0]):  # NaN fails every comparison
+            P = CscMatrix.from_dense(np.array([column, [0.0, 1.0]]).T)
+            with pytest.raises(ValueError, match="not stochastic"):
+                push_cd(P, s, 0.85, 10)

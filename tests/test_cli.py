@@ -92,6 +92,13 @@ class TestArgumentErrors:
         assert cli_main(command + ["--m", value]) == 1
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-2", "0"])
+    def test_topk_below_one_rejected(self, value, cycle_file, capsys):
+        assert cli_main(["pagerank", cycle_file, "--t", "20", "--topk", value]) == 1
+        captured = capsys.readouterr()
+        assert "--topk" in captured.err
+        assert captured.out == ""
+
 
 class TestOutputFiles:
     def test_failed_emit_keeps_old_file(self, tmp_path):

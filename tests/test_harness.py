@@ -30,6 +30,7 @@ from rsri import (
     tail_sums,
 )
 from rsri.harness import CSV_HEADER, _write_atomic
+from rsri import solvers
 from rsri.solvers import _iterate_trials, _rsri_trials
 from rsri.svgplot import svg_line_plot
 
@@ -106,16 +107,34 @@ def assert_batch_is_single_runs(A, b, cfg):
         assert accesses[k] == count
 
 
+def backed_problem(backing):
+    prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
+    A = {
+        "csc": prob.A,
+        "dense": DenseColumnMatrix(densify(prob.A)),
+        "function": FunctionColumnMatrix(prob.A.dim, prob.A.column),
+    }[backing]
+    return A, prob.b
+
+
 class TestLockstepTrials:
     @pytest.mark.parametrize("backing", ["csc", "dense", "function"])
     def test_rows_and_accesses_equal_single_runs(self, backing):
-        prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
-        A = {
-            "csc": prob.A,
-            "dense": DenseColumnMatrix(densify(prob.A)),
-            "function": FunctionColumnMatrix(prob.A.dim, prob.A.column),
-        }[backing]
-        assert_batch_is_single_runs(A, prob.b, RsriConfig(m=6, t=80, t_min=30, seed=3, trials=4))
+        A, b = backed_problem(backing)
+        assert_batch_is_single_runs(A, b, RsriConfig(m=6, t=80, t_min=30, seed=3, trials=4))
+
+    @pytest.mark.parametrize("backing", ["csc", "dense", "function"])
+    def test_sparse_sum_equals_dense_single_runs(self, backing, monkeypatch):
+        # with no dimension below the limit, the lockstep rows and each lone
+        # run sum sparsely, each on its own fold schedule, yet all give the
+        # bits of the dense sum
+        A, b = backed_problem(backing)
+        cfg = RsriConfig(m=6, t=80, t_min=30, seed=3, trials=4)
+        dense = single_runs(A, b, cfg)
+        monkeypatch.setattr(solvers, "DENSE_ACCUMULATOR_LIMIT", 0)
+        for k, ((got, _), (want, _)) in enumerate(zip(single_runs(A, b, cfg), dense)):
+            assert got.tobytes() == want.tobytes(), f"trial {k} differs"
+        assert_batch_is_single_runs(A, b, cfg)
 
     @pytest.mark.parametrize("m", [1, 16, 300])
     def test_burn_in_zero_and_extreme_m(self, m):

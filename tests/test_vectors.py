@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsri import SparseVector, combine, dot, norms, tail_sums
+from rsri.vectors import coalesce
 
 from conftest import sparse_from
 
@@ -123,6 +124,29 @@ class TestCombine:
         b = combine(-0.75, w, 2.5, u)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestCoalesce:
+    def test_adds_in_input_order(self):
+        # pairwise summation would add 1 + 1 first and keep it
+        out = coalesce(3, [0, 0, 0], [1e16, 1.0, 1.0])
+        assert out.indices.tolist() == [0]
+        assert out.values.tolist() == [1e16]
+
+    def test_matches_sequential_loop(self, np_rng):
+        dim = 50
+        for _ in range(200):
+            n = int(np_rng.integers(1, 300))
+            keys = np_rng.integers(0, dim, n)
+            vals = np_rng.normal(size=n) * 10.0 ** np_rng.integers(-8, 9, n)
+            vals[np_rng.random(n) < 0.1] = 0.0
+            want = {}
+            for k, v in zip(keys.tolist(), vals.tolist()):
+                want[k] = want.get(k, 0.0) + v
+            out = coalesce(dim, keys, vals)
+            kept = sorted(k for k, v in want.items() if v != 0.0)
+            assert out.indices.tolist() == kept
+            assert out.values.tolist() == [want[k] for k in kept]
 
 
 class TestDot:
