@@ -14,7 +14,13 @@ import numpy as np
 
 from .baselines import WalkCapError, mc_surfer, push_cd
 from .harness import _fmt, _write_atomic, run_sweep, tail_report
-from .operators import MatrixMarketError, _read_table, diagnostics, load_matrix_market
+from .operators import (
+    MatrixMarketError,
+    _read_table,
+    diagnostics,
+    load_matrix_market,
+    matrix_norm1_of_g,
+)
 from .pagerank import DEFAULT_ALPHA, build_problem, load_edge_list
 from .sampling import RandomStream
 from .solvers import NonConvergenceError, RsriConfig, reference_solve, rsri
@@ -95,8 +101,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_rhs(path, dim: int) -> SparseVector:
     fields = np.dtype([("index", np.int64), ("value", np.float64)])
     table = _read_table(path, fields, "#", where="rhs line")
+    index = np.sort(table["index"])
+    if index.size and (index[0] < 0 or index[-1] >= dim or np.any(index[1:] == index[:-1])):
+        _reject_rhs_index(path, dim)
     table = np.sort(table[table["value"] != 0.0], order="index")
     return SparseVector(dim, table["index"], table["value"])
+
+
+def _reject_rhs_index(path, dim: int):
+    """Raise ValueError naming the first rhs line whose index is out of range or repeated."""
+    first_line = {}
+    for line_no, line in enumerate(Path(path).read_text().split("\n"), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        index = int(tokens[0])
+        if not 0 <= index < dim:
+            raise ValueError(f"rhs line {line_no}: index {index} outside 0..{dim - 1}")
+        if index in first_line:
+            raise ValueError(f"rhs line {line_no}: index {index} repeats line {first_line[index]}")
+        first_line[index] = line_no
 
 
 def _emit(text: str, out):
@@ -121,6 +145,10 @@ def _cmd_solve(args) -> int:
     A = load_matrix_market(args.matrix)
     b = _load_rhs(args.rhs, A.dim)
     cfg = _config(args, args.m)
+    g = matrix_norm1_of_g(A)
+    if g >= 1.0:
+        print(f"warning: ||I - A||_1 = {_fmt(g)}; the theory assumes ||I - A||_1 < 1",
+              file=sys.stderr)
     report = rsri(A, b, cfg, RandomStream(cfg.seed))
     _emit(_estimate_csv(report.estimate), args.out)
     print(

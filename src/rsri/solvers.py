@@ -13,6 +13,7 @@ experiment harness runs all its trials at once.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,6 +51,14 @@ class RsriConfig:
     trials: int = 10
 
     def __post_init__(self):
+        for name in ("m", "t", "t_min", "seed", "trials"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.t < 1:

@@ -109,11 +109,21 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
     from 0.0, as a Python loop would add them.  Callers rely on this: a
     running sum placed first and then added to term by term gives the same
     bits however the terms are batched.
+
+    When ``dim`` is no larger than the number of entries, one
+    ``np.bincount`` over ``dim`` slots sums them in O(entries); otherwise
+    the entries are stable-sorted and each index's run is summed, so the
+    cost never grows with ``dim``.  Both paths add in input order and give
+    the same bits.
     """
     if len(indices) == 0:
         return SparseVector.empty(dim)
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    if dim <= indices.size:
+        sums = np.bincount(indices, weights=values, minlength=dim)
+        keys = np.flatnonzero(sums)
+        return SparseVector._make(dim, keys, sums[keys])
     order = _stable_order(indices, dim)
     si = indices[order]
     first = np.empty(si.size, dtype=bool)  # first entry of each index's run

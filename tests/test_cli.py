@@ -174,6 +174,36 @@ class TestSolve:
                          "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1:] == ["0,0.25", "1,0.75"]
 
+    @pytest.mark.parametrize("text,line,what", [
+        ("0 0.25\n# note\n2 0.5\n", 3, "index 2 outside 0..1"),
+        ("0 0.25\n-1 0.5\n", 2, "index -1 outside 0..1"),
+        ("1 0.25\n\n0 0.5\n1 0.5\n", 4, "index 1 repeats line 1"),
+    ], ids=["above_range", "negative", "repeated"])
+    def test_bad_rhs_index_names_line(self, identity_file, tmp_path, capsys, text, line, what):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text(text)
+        assert cli_main(["solve", identity_file, str(rhs)]) == 1
+        assert f"error: rhs line {line}: {what}" in capsys.readouterr().err
+
+    def test_non_contraction_warns_and_solves(self, tmp_path, capsys):
+        # G = I - A = [[0, 1], [0, 0]]: ||G||_1 = 1, yet G is nilpotent and the iteration converges
+        matrix = tmp_path / "nil.mtx"
+        matrix.write_text(IDENTITY_MM.replace("2 2 2\n", "2 2 3\n1 2 -1.0\n"))
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0 1\n1 1\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["solve", str(matrix), str(rhs), "--m", "2", "--t", "10",
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: ||I - A||_1 = 1; the theory assumes ||I - A||_1 < 1" in err
+        assert out.read_text().splitlines()[1:] == ["0,2", "1,1"]
+
+    def test_contraction_does_not_warn(self, identity_file, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0 1\n")
+        assert cli_main(["solve", identity_file, str(rhs), "--t", "10"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_diverging_iteration_exit_2(self, tmp_path, capsys):
         # G = I - A = [[0, 2], [2, 0]]: the iterates double until they overflow
         matrix = tmp_path / "grow.mtx"
@@ -184,7 +214,9 @@ class TestSolve:
         code = cli_main(["solve", str(matrix), str(rhs), "--m", "1", "--t", "3000",
                          "--out", str(out)])
         assert code == 2
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning: ||I - A||_1 = 2;" in err
+        assert "diverged" in err
         assert not out.exists()
 
 

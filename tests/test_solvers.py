@@ -288,6 +288,13 @@ class TestRsri:
             RsriConfig(m=1, t=0, t_min=0)
         with pytest.raises(ValueError):
             RsriConfig(m=1, t=10, t_min=2, trials=0)
+        for name, bad in [("m", 2.5), ("t", 10.5), ("t_min", 2.0), ("seed", 1.5),
+                          ("trials", 3.0), ("m", True), ("trials", np.True_), ("m", "4")]:
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                RsriConfig(**{**dict(m=1, t=10, t_min=2), name: bad})
+        cfg = RsriConfig(m=np.int64(4), t=np.int32(10), t_min=np.int64(2), seed=np.uint64(7),
+                         trials=np.int16(3))
+        assert (cfg.m, cfg.t, cfg.t_min, cfg.seed, cfg.trials) == (4, 10, 2, 7, 3)
 
 
 class TestDivergenceGuard:

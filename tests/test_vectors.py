@@ -148,6 +148,30 @@ class TestCoalesce:
             assert out.indices.tolist() == kept
             assert out.values.tolist() == [want[k] for k in kept]
 
+    def test_binned_and_sorted_paths_agree(self, np_rng):
+        """coalesce bins its n keys over dim slots when dim <= n and sorts them
+        otherwise, so dim = n and dim = n + 1 run the same keys down each path.
+        test_matches_sequential_loop (dim 50, 1-300 keys) straddles the same
+        threshold against a Python loop."""
+        cases = [
+            ([0, 1, 0, 1], [1.5, -2.0, -1.5, 2.0], [], []),  # exact cancellation
+            ([2, 0, 2, 1], [-0.0, -0.0, 3.0, -0.0], [2], [3.0]),  # 0.0 + -0.0 is 0.0
+            ([0, 0, 0], [1e16, 1.0, 1.0], [0], [1e16]),
+        ]
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e290):
+            keys = np_rng.integers(0, 40, 500)
+            vals = np_rng.normal(size=500) * scale * 10.0 ** np_rng.integers(-8, 9, 500)
+            cases.append((keys, vals, None, None))
+        for keys, vals, want_idx, want_val in cases:
+            n = len(keys)
+            binned, sorted_ = coalesce(n, keys, vals), coalesce(n + 1, keys, vals)
+            assert binned.indices.dtype == sorted_.indices.dtype == np.int64
+            assert binned.indices.tolist() == sorted_.indices.tolist()
+            assert binned.values.tobytes() == sorted_.values.tobytes()
+            if want_idx is not None:
+                assert binned.indices.tolist() == want_idx
+                assert binned.values.tolist() == want_val
+
 
 class TestDot:
     def test_ones_gives_signed_sum(self):
