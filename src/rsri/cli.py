@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="rmse vs sparsity level, CSV + SVG")
     p_sweep.add_argument("edges")
     p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.add_argument("--m", type=_m_list, default=[32], help="ascending sparsity levels, comma list")
+    p_sweep.add_argument("--m", type=_m_list, default=[32],
+                         help="strictly increasing sparsity levels, comma list")
     add_flags(p_sweep, "--alpha --source --oracle-tol " + solver)
 
     p_tail = sub.add_parser("tail", help="tail decay of the reference solution")

@@ -2,7 +2,8 @@
 
 Trials run in lockstep through one batched solver step, trial k on
 spawn_stream(seed, k) and bit-identical to rsri on that stream alone;
-the matched-cost Monte Carlo trials run one after another.  Sweep CSVs
+a sweep runs the trials of all its sparsity levels in that one loop.
+The matched-cost Monte Carlo trials run one after another.  Sweep CSVs
 are byte-stable across identical runs: everything written is a pure
 function of the flags and seed, which is why measured wall-clock times
 go to the returned rows and the log, not into the file.
@@ -13,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,25 +63,49 @@ def estimate_rmse(problem, cfg: RsriConfig, oracle: np.ndarray) -> RmseEstimate:
     """Root-mean-square error, bias norm, and sample variance over trials.
 
     Trial k draws from spawn_stream(seed, k), so the estimate is
-    reproducible and trials are independent.
+    reproducible and trials are independent.  This is the one-level case
+    of the lockstep loop a sweep runs.
+    """
+    return _estimate_levels(problem, cfg, [cfg.m], oracle)[0]
+
+
+def _estimate_levels(
+    problem, cfg: RsriConfig, levels: Sequence[int], oracle: np.ndarray
+) -> list[RmseEstimate]:
+    """One RmseEstimate per sparsity level, every (level, trial) run
+    advanced in one lockstep loop.
+
+    Trial k of each level runs on its own spawn_stream(seed, k), so each
+    level's figures equal a run of that level alone, wall time aside.
+    The loop's wall time is shared equally among the levels.
     """
     if cfg.trials < 2:
         raise ValueError("estimate_rmse needs at least 2 trials")
     oracle = np.asarray(oracle, dtype=np.float64)
     master = RandomStream(cfg.seed)
     start = time.perf_counter()
-    streams = [spawn_stream(master, k) for k in range(cfg.trials)]
-    average, accesses = _rsri_trials(problem.A, problem.b, cfg, streams)
-    wall = time.perf_counter() - start
-    estimates = average.to_dense().reshape(cfg.trials, problem.A.dim)
-    errors = estimates - oracle
-    rmse = float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
-    mean_est = estimates.mean(axis=0)
-    bias_norm = float(np.linalg.norm(mean_est - oracle))
-    centered = estimates - mean_est
-    variance_est = float(np.sum(centered * centered) / (cfg.trials - 1))
-    mean_accesses = round(float(np.mean(accesses)))
-    return RmseEstimate(rmse, bias_norm, variance_est, mean_accesses, wall)
+    streams = [spawn_stream(master, k) for _ in levels for k in range(cfg.trials)]
+    average, accesses = _rsri_trials(
+        problem.A, problem.b, cfg, streams, np.repeat(levels, cfg.trials)
+    )
+    wall = (time.perf_counter() - start) / len(levels)
+    span = cfg.trials * problem.A.dim
+    cuts = np.searchsorted(average.indices, np.arange(len(levels) + 1) * span)
+    out = []
+    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        # one level densified at a time: trials x dim, never the whole stack
+        estimates = np.zeros(span)
+        estimates[average.indices[lo:hi] - i * span] = average.values[lo:hi]
+        estimates = estimates.reshape(cfg.trials, problem.A.dim)
+        errors = estimates - oracle
+        rmse = float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
+        mean_est = estimates.mean(axis=0)
+        bias_norm = float(np.linalg.norm(mean_est - oracle))
+        centered = estimates - mean_est
+        variance_est = float(np.sum(centered * centered) / (cfg.trials - 1))
+        runs = accesses[i * cfg.trials : (i + 1) * cfg.trials]
+        out.append(RmseEstimate(rmse, bias_norm, variance_est, round(float(np.mean(runs))), wall))
+    return out
 
 
 def matched_walk_count(column_accesses: int, alpha: float) -> int:
@@ -115,26 +140,32 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One RMSE row per sparsity level, optionally written as CSV and SVG.
 
-    The problem must carry a transition matrix (P, s, alpha) so a
-    matched-cost Monte Carlo column can be produced.  Nothing is written
-    until every row exists, and each file is then replaced atomically, so
-    a sweep that fails midway leaves existing files untouched.
+    The levels must be strictly increasing.  Every (level, trial) run
+    advances in one lockstep loop, trial k of each level on
+    spawn_stream(seed, k), so each row equals estimate_rmse at its level
+    except for wall_clock_s: the loop's wall time divided by the number
+    of levels, so the rows sum to it.  The Monte Carlo column runs after
+    the loop.  The problem must carry a transition matrix (P, s, alpha)
+    so a matched-cost Monte Carlo column can be produced.  Nothing is
+    written until every row exists, and each file is then replaced
+    atomically, so a sweep that fails midway leaves existing files
+    untouched.
     """
-    if not m_list or list(m_list) != sorted(m_list):
-        raise ValueError("m_list must be nonempty and ascending")
+    levels = [int(m) for m in m_list]
+    if not levels or any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError(f"m_list must be nonempty and strictly increasing, got {levels}")
     if oracle is None:
         oracle = reference_solve(problem.A, problem.b)
+    shared = f" (1/{len(levels)} of the loop the levels share)" if len(levels) > 1 else ""
     rows = []
-    for m in m_list:
-        cfg = replace(base_cfg, m=int(m))
-        est = estimate_rmse(problem, cfg, oracle)
+    for m, est in zip(levels, _estimate_levels(problem, base_cfg, levels, oracle)):
         walks = matched_walk_count(est.column_accesses, problem.alpha)
-        mc = _mc_rmse(problem, walks, cfg.trials, cfg.seed, oracle)
-        rows.append(SweepRow(m=int(m), mc_rmse=mc, **vars(est)))
+        mc = _mc_rmse(problem, walks, base_cfg.trials, base_cfg.seed, oracle)
+        rows.append(SweepRow(m=m, mc_rmse=mc, **vars(est)))
         if log is not None:
             print(
                 f"sweep m={m}: rmse={est.rmse:.3e} mc_rmse={mc:.3e} "
-                f"accesses={est.column_accesses} wall={est.wall_clock_s:.2f}s",
+                f"accesses={est.column_accesses} wall={est.wall_clock_s:.2f}s{shared}",
                 file=log,
             )
     text = sweep_csv_text(rows, base_cfg, problem.alpha)

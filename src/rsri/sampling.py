@@ -11,8 +11,8 @@ The carry mass before each duel is not random: it is the fractional part
 of the prefix sum of the probabilities.  Only which unit holds it is.
 So every duel is decided at once from pre-drawn uniforms, and the holder
 follows as a running maximum over the duels that move it.  One core
-does this row-wise for zero-padded rows, so many draws of one vector,
-or one draw each of many vectors, take a single call.
+does this for rows laid end to end, so one draw each of many vectors,
+or many draws of one vector, take a single call.
 """
 from __future__ import annotations
 
@@ -113,13 +113,16 @@ def pivotal_sample(p: Union[ProbabilityVector, np.ndarray], rng: RandomStream) -
     return _pivotal_positions(pv.probs, pv.target_size, rng)
 
 
+_ONE_ROW = np.zeros(1, dtype=np.int64)  # the row starts of a single row
+_NO_DUEL = np.zeros(1)  # placeholder uniform at a row start
+
+
 def _pivotal_positions(probs: np.ndarray, m: int, rng: RandomStream) -> np.ndarray:
     """Sorted positions of the m entries of one pivotal draw on ``rng``."""
     nz = probs.nonzero()[0]
     if nz.size == 0:
         return nz
-    u = rng.random(nz.size - 1)
-    return nz[_pivotal_core(probs[nz][None], m, u[None])[0].nonzero()[0]]
+    return nz[_pivotal_core(probs[nz], _ONE_ROW, m, rng.random(nz.size - 1))]
 
 
 def _pivotal_rows(
@@ -132,67 +135,89 @@ def _pivotal_rows(
     drawn as :func:`_pivotal_positions` would draw it on ``streams[k]``.
     """
     nz = probs.nonzero()[0]
-    r = row[nz]
-    n = np.bincount(r, minlength=len(streams))
-    width = int(n.max()) if nz.size else 1
-    slot = r * width + np.arange(nz.size) - (n.cumsum() - n)[r]  # rows compacted to the left
-    padded = np.zeros(n.size * width)
-    padded[slot] = probs[nz]
-    u = np.zeros((n.size, width - 1))
-    drawing = (n > 1).nonzero()[0].tolist()
-    if drawing:
-        u[np.arange(width - 1) < (n - 1)[:, None]] = np.concatenate(
-            [streams[k].random(n[k] - 1) for k in drawing]
-        )
-    sel = _pivotal_core(padded.reshape(n.size, width), np.where(n > 0, targets, 0), u)
-    return nz[sel.ravel()[slot]]
+    if nz.size == 0:
+        return nz
+    n = np.bincount(row[nz], minlength=len(streams))
+    live = n.nonzero()[0]
+    # the uniform of the duel that brings in each entry; a row's first
+    # entry meets no one and gets a placeholder
+    u = [_NO_DUEL]
+    for k, size in zip(live.tolist(), n[live].tolist()):
+        if size > 1:
+            u.append(streams[k].random(size - 1))
+        u.append(_NO_DUEL)
+    u = np.concatenate(u[:-1])
+    starts = (n.cumsum() - n)[live]
+    return nz[_pivotal_core(probs[nz], starts, targets[live], u[1:])]
 
 
-def _pivotal_core(probs: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
-    """Selections of one pivotal draw per row of ``u``, as a boolean array.
+def _pivotal_core(probs: np.ndarray, starts: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
+    """Selections of one pivotal draw per row, as a boolean array over
+    ``probs`` (with the leading axes of ``u``).
 
-    Row r of ``probs`` holds its n_r positive probabilities first and zero
-    padding after them; its duels read ``u[r, :n_r - 1]``, the rest of the
-    row of ``u`` must be zero, and it must select ``targets[r]`` entries
-    (a scalar serves every row).  A single row of ``probs`` serves every
-    row of ``u``: many draws of one vector.
+    ``probs`` holds the positive probabilities of one or more rows end to
+    end; row r begins at ``starts[r]`` (``starts[0] == 0``) and must select
+    ``targets[r]`` entries (a scalar serves every row).  The duel that
+    brings in entry j + 1 reads ``u[..., j]``; the uniforms at row starts
+    are ignored.  A leading axis of ``u`` draws the same rows many times.
     """
-    rows, width = u.shape[0], probs.shape[1]
+    n = probs.size
+    last = np.concatenate((starts[1:], [n])) - 1  # each row's last entry
+    if starts.size == 1:
+        prefix = probs.cumsum()
+    else:
+        # summed row-wise from 0.0 on a zero-padded array, as each row
+        # alone would be summed
+        length = last + 1 - starts
+        width = int(length.max())
+        slot = np.arange(n) + (np.arange(0, starts.size * width, width) - starts).repeat(length)
+        padded = np.zeros(starts.size * width)
+        padded[slot] = probs
+        prefix = padded.reshape(starts.size, width).cumsum(axis=1).ravel()[slot]
     # the carry mass before each duel is the fractional part of the prefix
-    # sum; the duels where its integer part steps up each fill one unit.
-    # Padding adds exact zeros, so no unit fills there, and with a zero
-    # uniform the carry moves there only when it is zero, in which case
-    # the set is already complete.
-    prefix = probs.cumsum(axis=1)
+    # sum; the duels where its integer part steps up each fill one unit,
+    # so a row's integer part at its end counts its filling duels.  A row
+    # starts below one, so no duel seems to fill at a row start
     whole = np.floor(prefix)
-    carry = prefix[:, :-1] - whole[:, :-1]
-    new = probs[:, 1:]
+    carry = prefix[:-1] - whole[:-1]
+    new = probs[1:]
     total = carry + new
-    fills = whole[:, 1:] > whole[:, :-1]
+    fills = whole[1:] > whole[:-1]
     # moves: the newcomer takes the carry; in a filling duel the old holder
     # is then selected, in any other duel it drops out; in a filling duel
-    # that leaves the carry in place the newcomer is selected
-    moves = np.where(fills, u * (2.0 - total) < 1.0 - new, u * total >= carry)
-    holder = np.zeros((rows, width), dtype=np.int64)
-    holder[:, 1:] = np.where(moves, np.arange(1, width), 0)
-    np.maximum.accumulate(holder, axis=1, out=holder)
-    # duel (r, j) is between holder[r, j] and entry j + 1
-    sel = np.zeros((rows, width), dtype=bool)
-    sel[:, 1:] = fills & ~moves
-    won = (fills & moves).ravel().nonzero()[0]
-    row = won // max(width - 1, 1)
-    sel.ravel()[row * width + holder.ravel()[won + row]] = True
-    # with one row of probabilities every draw fills the same duels
-    missing = np.broadcast_to(targets - fills.sum(axis=1), (rows,))
+    # that leaves the carry in place the newcomer is selected.  A filling
+    # duel moves when u (2 - total) < 1 - new, any other when u total >=
+    # carry: one product and one comparison per duel, negated where none fills
+    scale = np.where(fills, 2.0 - total, total)
+    moves = (u * scale < np.where(fills, 1.0 - new, carry)) == fills
+    # positions fit in int32, which halves the (draws, n) holder of a batch
+    holder = np.empty(moves.shape[:-1] + (n,), dtype=np.int32 if n < 2**31 else np.int64)
+    np.multiply(moves, np.arange(1, n, dtype=holder.dtype), out=holder[..., 1:])
+    holder[..., starts] = starts  # each row's first entry holds the carry
+    np.maximum.accumulate(holder, axis=-1, out=holder)
+    # duel j is between holder[..., j] and entry j + 1; a filling duel
+    # selects the newcomer if the carry stays and the old holder if it moves
+    filled = fills.nonzero()[0]
+    won = moves[..., filled]
+    sel = np.zeros(holder.shape, dtype=bool)
+    sel[..., filled + 1] = ~won
+    hit = won.nonzero()  # (draw, duel) or (duel,)
+    sel[hit[:-1] + (holder[..., filled][hit],)] = True
+    missing = targets - whole[last]
     short = missing.nonzero()[0]
-    if (missing[short] != 1).any():
-        r = short[missing[short] != 1][0]
-        target = np.broadcast_to(targets, rows)[r]
-        raise RuntimeError(
-            f"pivotal sampling produced {target - missing[r]} selections for target {target}"
-        )
-    if short.size:  # residual mass ~ 1: the last carry holder completes the set
-        sel[short, holder[short, -1]] = True
+    if short.size:
+        if (missing[short] != 1).any():
+            r = short[missing[short] != 1][0]
+            target = int(np.broadcast_to(targets, missing.shape)[r])
+            raise RuntimeError(
+                f"pivotal sampling produced {int(whole[last[r]])} selections for target {target}"
+            )
+        # residual mass ~ 1: the last carry holder completes the row's set
+        done = holder[..., last[short]]
+        if sel.ndim == 1:
+            sel[done] = True
+        else:
+            sel[np.arange(len(sel))[:, None], done] = True
     return sel
 
 
@@ -210,5 +235,5 @@ def pivotal_sample_batch(
     nz = pv.probs.nonzero()[0]
     if nz.size:
         u = rng.random((draws, nz.size - 1))
-        sel[:, nz] = _pivotal_core(pv.probs[nz][None], pv.target_size, u)
+        sel[:, nz] = _pivotal_core(pv.probs[nz], _ONE_ROW, pv.target_size, u)
     return sel

@@ -22,7 +22,7 @@ import numpy as np
 
 from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
-from .sparsify import sparsify
+from .sparsify import _levels, sparsify
 from .vectors import SparseVector, coalesce, dot
 
 __all__ = [
@@ -138,23 +138,27 @@ def _iterate_trials(
     cfg: RsriConfig,
     streams: Sequence[RandomStream],
     consume: Callable[[SparseVector], None],
+    m=None,
 ) -> np.ndarray:
     """Drive one sparsified iteration per stream in lockstep.
 
     The iterates of all runs are stacked into one SparseVector of
     dimension ``len(streams) * A.dim``, entry i of run k at index
     ``k * A.dim + i``, so one sparsify, one gather and one coalesce
-    advance every run.  consume receives each averaged iterate in that
-    form.  Returns the exact column accesses per stream.  Every sum sees
-    one run's operands in the order a run on its stream alone would, so
-    each run's iterates do not depend on the others.  Raises
-    NonConvergenceError at the first iterate whose 1-norm times m is not
-    finite: the iteration diverged, and the next sparsification could no
-    longer be computed.
+    advance every run.  Run k is sparsified at level ``m`` (``cfg.m`` by
+    default) or, given one level per stream, at ``m[k]``.  consume
+    receives each averaged iterate in that form.  Returns the exact
+    column accesses per stream.  Every sum sees one run's operands in the
+    order a run on its stream alone would, so each run's iterates do not
+    depend on the others.  Raises NonConvergenceError at the first
+    iterate whose 1-norm times its level is not finite: the iteration
+    diverged, and the next sparsification could no longer be computed.
     """
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     trials, dim = len(streams), A.dim
+    m = _levels(cfg.m if m is None else m, trials)
+    m_max = int(np.max(m))
     b_keys = (np.arange(trials)[:, None] * dim + b.indices).ravel()
     b_vals = np.tile(b.values, trials)
     x = SparseVector._make(trials * dim, b_keys, b_vals)
@@ -162,7 +166,7 @@ def _iterate_trials(
     if cfg.t_min == 0:
         consume(x)
     for s in range(1, cfg.t):
-        phi = sparsify(x, cfg.m, streams)
+        phi = sparsify(x, m, streams)
         trial = phi.indices // dim
         accesses += np.bincount(trial, minlength=trials)
         offset = trial * dim
@@ -174,13 +178,16 @@ def _iterate_trials(
                 np.concatenate([b_keys, phi.indices, np.repeat(offset, counts) + rows]),
                 np.concatenate([b_vals, phi.values, -vals]),
             )
-            if not float(np.abs(x.values).sum()) * cfg.m < math.inf:
+            if not float(np.abs(x.values).sum()) * m_max < math.inf:
                 # some run diverged, or only the sum over runs overflows
                 norm1 = np.bincount(x.indices // dim, np.abs(x.values), minlength=trials)
-                diverged = (~(norm1 * cfg.m < math.inf)).nonzero()[0]
+                diverged = (~(norm1 * m < math.inf)).nonzero()[0]
                 if diverged.size:
                     k = diverged[0]
-                    run = f"trial {k}: " if trials > 1 else ""
+                    if isinstance(m, np.ndarray):  # name the trial within its level
+                        run = f"m={m[k]} trial {np.count_nonzero(m[:k] == m[k])}: "
+                    else:
+                        run = f"trial {k}: " if trials > 1 else ""
                     raise NonConvergenceError(
                         f"{run}iterate diverged: 1-norm {norm1[k]} at step {s}", float(norm1[k])
                     )
@@ -222,8 +229,10 @@ class _Accumulator:
         self.buffered = 0
 
     def average(self, count: int) -> SparseVector:
+        """The sum divided by count; ends the accumulation."""
         if self.dense is not None:
-            return SparseVector.from_dense(self.dense / count)
+            self.dense /= count  # in place: a stacked sum can be large
+            return SparseVector.from_dense(self.dense)
         self._fold()
         total = self.parts[0]
         val = total.values / count
@@ -232,19 +241,21 @@ class _Accumulator:
 
 
 def _rsri_trials(
-    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream]
+    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream], m=None
 ) -> tuple[SparseVector, np.ndarray]:
     """One rsri run per stream, advanced in lockstep and summed in one
-    _Accumulator.
+    _Accumulator; run k at level ``m`` or ``m[k]`` as in _iterate_trials.
 
     Returns the averaged iterates stacked as one SparseVector, entry i of
     run k at index ``k * A.dim + i``, and the column accesses per stream.
-    Run k equals rsri on streams[k] alone bit for bit.  The sum is dense
-    while ``A.dim <= DENSE_ACCUMULATOR_LIMIT``, whatever the number of
-    streams, and sparse above it; the limit chooses the memory layout only.
+    Run k equals rsri on streams[k] at its level alone bit for bit.  The
+    sum is dense while the stacked dimension ``len(streams) * A.dim`` is
+    at most DENSE_ACCUMULATOR_LIMIT and sparse above it; the limit
+    chooses the memory layout only.
     """
-    acc = _Accumulator(len(streams) * A.dim, A.dim <= DENSE_ACCUMULATOR_LIMIT)
-    accesses = _iterate_trials(A, b, cfg, streams, acc.add)
+    dim = len(streams) * A.dim
+    acc = _Accumulator(dim, dim <= DENSE_ACCUMULATOR_LIMIT)
+    accesses = _iterate_trials(A, b, cfg, streams, acc.add, m)
     return acc.average(cfg.t - cfg.t_min), accesses
 
 

@@ -9,8 +9,9 @@ then rescaled so the output is unbiased.  The output has at most m
 nonzeros and the same 1-norm as the input on every single draw.
 
 Both the split and the sparsifier also take many vectors stacked into
-one, each on its own stream, which is how the solver advances many runs
-in one step; a stacked vector's results equal separate calls bit for bit.
+one, each on its own stream and at its own level m if need be, which is
+how the solver advances many runs in one step; a stacked vector's
+results equal separate calls bit for bit.
 """
 from __future__ import annotations
 
@@ -57,15 +58,15 @@ class PreservationSplit:
         return ProbabilityVector(int(self.residual_indices.size), self.residual_probs)
 
 
-def preservation_split(v: SparseVector, m: int, rows: int = 1) -> PreservationSplit:
+def preservation_split(v: SparseVector, m, rows: int = 1) -> PreservationSplit:
     """Split v into the minimal exact set D and residual probabilities.
 
     With ``rows`` > 1, v holds that many vectors of dimension
     ``v.dim // rows`` end to end (entry i of vector k at index
     ``k * (v.dim // rows) + i``), and each is split as it would be alone.
+    ``m`` is one sparsity level for all of them or one per vector.
     """
-    if m < 1:
-        raise ValueError(f"sparsity level m must be >= 1, got {m}")
+    m = _levels(m, rows)
     if rows < 1 or v.dim % rows:
         raise ValueError(f"dimension {v.dim} does not hold {rows} equal vectors")
     exact, probs = _split_one(v, m) if rows == 1 else _split_stacked(v, m, rows)
@@ -74,6 +75,22 @@ def preservation_split(v: SparseVector, m: int, rows: int = 1) -> PreservationSp
     return PreservationSplit(
         v.dim, v.indices[exact_pos], v.indices[res_pos], probs[res_pos], exact_pos, res_pos
     )
+
+
+def _levels(m, rows: int):
+    """The sparsity level as an int, or as one int per stacked vector
+    when they differ."""
+    if isinstance(m, (int, np.integer)) or np.ndim(m) == 0:
+        if m < 1:
+            raise ValueError(f"sparsity level m must be >= 1, got {m}")
+        return int(m)
+    levels = np.asarray(m)
+    if levels.shape != (rows,) or levels.dtype.kind not in "iu":
+        raise ValueError(f"expected {rows} integer sparsity levels, got {levels!r}")
+    low, high = levels.min(), levels.max()
+    if low < 1:
+        raise ValueError(f"sparsity levels must be >= 1, got {low}")
+    return int(low) if low == high else levels.astype(np.int64, copy=False)
 
 
 def _split_one(v: SparseVector, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +115,9 @@ def _split_one(v: SparseVector, m: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, probs
 
 
-def _split_stacked(v: SparseVector, m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_split_one` of every stacked vector at once.
+def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_split_one` of every stacked vector at once, vector k at
+    level ``m`` or ``m[k]``.
 
     Every float reduction runs row-wise over a zero-padded (rows, width)
     array, where the padding adds exact zeros, so each vector sees its own
@@ -107,13 +125,13 @@ def _split_stacked(v: SparseVector, m: int, rows: int) -> tuple[np.ndarray, np.n
     """
     row = v.indices // (v.dim // rows)
     counts = np.bincount(row, minlength=rows)
-    exact = counts[row] <= m  # a vector of at most m entries is kept whole
+    big = counts > m
+    exact = ~big[row]  # a vector of at most its m entries is kept whole
     probs = np.zeros(v.nnz)
     sub = (~exact).nonzero()[0]
     if not sub.size:
         return exact, probs
     a = np.abs(v.values[sub])
-    big = counts > m
     r = (big.cumsum() - 1)[row[sub]]
     n = counts[big]
     width = int(n.max())
@@ -125,7 +143,13 @@ def _split_stacked(v: SparseVector, m: int, rows: int) -> tuple[np.ndarray, np.n
     mags.sort(axis=1)
     dec = mags[:, ::-1]  # |v|_(k) at column k
     tails = mags.cumsum(axis=1)[:, ::-1]
-    admit = dec[:, :m] * (m - np.arange(m)) >= tails[:, :m]
+    if isinstance(m, np.ndarray):
+        m = m[big]
+        k = np.arange(m.max())
+        # past its own level a vector admits nothing more: mask it as passing
+        admit = (dec[:, : k.size] * (m[:, None] - k) >= tails[:, : k.size]) | (k >= m[:, None])
+    else:
+        admit = dec[:, :m] * (m - np.arange(m)) >= tails[:, :m]
     q = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
     t_q = tails[np.arange(n.size), q]
     # D: the magnitudes above |v|_(q-1), then the first ties at it by position
@@ -138,12 +162,13 @@ def _split_stacked(v: SparseVector, m: int, rows: int) -> tuple[np.ndarray, np.n
     exact[sub[admitted]] = True
     # degenerate vectors keep probability zero, as in _split_one
     res = (~admitted & ((q < m) & (t_q > 0.0))[r]).nonzero()[0]
-    probs[sub[res]] = np.minimum((m - q[r[res]]) * a[res] / t_q[r[res]], np.nextafter(1.0, 0.0))
+    share = (m - q)[r[res]]
+    probs[sub[res]] = np.minimum(share * a[res] / t_q[r[res]], np.nextafter(1.0, 0.0))
     return exact, probs
 
 
 def sparsify(
-    v: SparseVector, m: int, rng: Union[RandomStream, Sequence[RandomStream]]
+    v: SparseVector, m, rng: Union[RandomStream, Sequence[RandomStream]]
 ) -> SparseVector:
     """Random sparse approximation of v: unbiased, at most m nonzeros.
 
@@ -152,16 +177,19 @@ def sparsify(
     input on every draw, which is what keeps the solver iterates stable.
 
     ``rng`` may be a sequence of streams, one per vector of a stacked v
-    (see :func:`preservation_split`): vector k is then sparsified on
-    ``rng[k]`` exactly as a call on it alone would, reading the same
-    ``nnz_k - 1`` uniforms from that stream.
+    (see :func:`preservation_split`), and ``m`` one level per vector:
+    vector k is then sparsified at its level on ``rng[k]`` exactly as a
+    call on it alone would, reading the same ``nnz_k - 1`` uniforms from
+    that stream.  v is returned as it is when every vector holds at most
+    its m entries.
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
-    if v.nnz <= m:
-        if m < 1:
-            raise ValueError(f"sparsity level m must be >= 1, got {m}")
+    m = _levels(m, len(streams))
+    if len(streams) == 1 and v.nnz <= m:
         return v
     split = preservation_split(v, m, len(streams))
+    if not split.residual_positions.size:  # every vector holds at most its m entries
+        return v
     # split probabilities honor the ProbabilityVector contract by construction
     if len(streams) == 1:
         chosen = _pivotal_positions(split.residual_probs, m - split.q, streams[0])

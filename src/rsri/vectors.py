@@ -110,17 +110,18 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
     running sum placed first and then added to term by term gives the same
     bits however the terms are batched.
 
-    When ``dim`` is no larger than the number of entries, one
-    ``np.bincount`` over ``dim`` slots sums them in O(entries); otherwise
-    the entries are stable-sorted and each index's run is summed, so the
-    cost never grows with ``dim``.  Both paths add in input order and give
+    With k entries, when ``4 * dim <= k * k.bit_length()`` one
+    ``np.bincount`` over ``dim`` slots sums them in O(k + dim); otherwise
+    the entries are stable-sorted and each index's run is summed.  Either
+    way the cost is O(k log k) whatever ``dim``, and the rule picks the
+    path that measures faster.  Both paths add in input order and give
     the same bits.
     """
     if len(indices) == 0:
         return SparseVector.empty(dim)
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    if dim <= indices.size:
+    if 4 * dim <= indices.size * indices.size.bit_length():
         sums = np.bincount(indices, weights=values, minlength=dim)
         keys = np.flatnonzero(sums)
         return SparseVector._make(dim, keys, sums[keys])

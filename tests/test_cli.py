@@ -92,6 +92,14 @@ class TestArgumentErrors:
         assert cli_main(command + ["--m", value]) == 1
         assert "--m" in capsys.readouterr().err
 
+    def test_repeated_sweep_level_rejected(self, cycle_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli_main(["sweep", cycle_file, "--m", "2,2", "--t", "20", "--tmin", "10",
+                         "--trials", "2", "--out", str(out)])
+        assert code == 1
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-2", "0"])
     def test_topk_below_one_rejected(self, value, cycle_file, capsys):
         assert cli_main(["pagerank", cycle_file, "--t", "20", "--topk", value]) == 1

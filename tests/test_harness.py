@@ -1,4 +1,6 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from rsri import (
     tail_report,
     tail_sums,
 )
-from rsri.harness import CSV_HEADER, _write_atomic
-from rsri import solvers
+from rsri.harness import CSV_HEADER, _mc_rmse, _write_atomic
+from rsri import harness, solvers
 from rsri.solvers import _iterate_trials, _rsri_trials
 from rsri.svgplot import svg_line_plot
 
@@ -136,6 +138,22 @@ class TestLockstepTrials:
             assert got.tobytes() == want.tobytes(), f"trial {k} differs"
         assert_batch_is_single_runs(A, b, cfg)
 
+    @pytest.mark.parametrize("backing", ["csc", "dense", "function"])
+    def test_mixed_levels_equal_single_runs(self, backing):
+        # runs at different levels in one loop, each equal to a lone rsri at
+        # its own level; level 300 exceeds the dimension and never draws
+        A, b = backed_problem(backing)
+        cfg = RsriConfig(m=1, t=60, t_min=20, seed=3, trials=2)
+        levels = [2, 2, 7, 7, 300, 300]
+        master = RandomStream(cfg.seed)
+        streams = [spawn_stream(master, k % 2) for k in range(len(levels))]
+        average, accesses = _rsri_trials(A, b, cfg, streams, levels)
+        rows = average.to_dense().reshape(len(levels), A.dim)
+        for k, m in enumerate(levels):
+            lone = rsri(A, b, replace(cfg, m=m), spawn_stream(master, k % 2))
+            assert rows[k].tobytes() == lone.estimate.to_dense().tobytes(), f"run {k} differs"
+            assert accesses[k] == lone.column_accesses
+
     @pytest.mark.parametrize("m", [1, 16, 300])
     def test_burn_in_zero_and_extreme_m(self, m):
         prob = build_problem(synth_bounded_outdegree(200, 3, seed=5), 0.85, source=0)
@@ -159,7 +177,8 @@ class TestLockstepTrials:
     def test_stacked_sparsify_matches_single_calls(self):
         # ties, a degenerate split (1e-20 is lost against 1 in T(0), so the
         # first entry is admitted into a full set), a pass-through, an empty
-        # vector and a subnormal residual
+        # vector and a subnormal residual; then a level per vector, which
+        # holds some vectors at or below their own m
         vectors = [
             sparse_from(6, [(0, 3.0), (1, -3.0), (2, 3.0), (4, 1.0), (5, 3.0)]),
             sparse_from(6, [(1, 1.0), (3, 1e-20)]),
@@ -173,24 +192,40 @@ class TestLockstepTrials:
             np.concatenate([6 * k + v.indices for k, v in enumerate(vectors)]),
             np.concatenate([v.values for v in vectors]),
         )
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, [3, 1, 2, 6, 5, 6], [2, 1, 1, 1, 3, 4], [4, 2, 9, 1, 2, 5]):
             split = preservation_split(stacked, m, len(vectors))
             streams = [RandomStream(40 + k) for k in range(len(vectors))]
             out = sparsify(stacked, m, streams)
             for k, v in enumerate(vectors):
                 single = RandomStream(40 + k)
-                want = sparsify(v, m, single)
+                m_k = m[k] if isinstance(m, list) else m
+                want = sparsify(v, m_k, single)
                 mine = out.indices // 6 == k
                 np.testing.assert_array_equal(out.indices[mine] - 6 * k, want.indices)
                 assert out.values[mine].tobytes() == want.values.tobytes()
                 # both read the same number of uniforms
                 assert streams[k].random() == single.random()
-                alone = preservation_split(v, m)
+                alone = preservation_split(v, m_k)
                 for field in ("exact_indices", "residual_indices"):
                     got = getattr(split, field)
                     np.testing.assert_array_equal(got[got // 6 == k] - 6 * k, getattr(alone, field))
                 res = split.residual_indices // 6 == k
                 assert split.residual_probs[res].tobytes() == alone.residual_probs.tobytes()
+
+    def test_stack_within_its_levels_passes_through(self):
+        # every vector holds at most its own m, though more than the smallest m
+        stacked = sparse_from(6, [(0, 1.0), (1, 2.0), (3, 4.0)])
+        streams = [RandomStream(1), RandomStream(2)]
+        assert sparsify(stacked, [2, 1], streams) is stacked
+        assert streams[0].random() == RandomStream(1).random()
+        assert sparsify(stacked, [1, 1], streams) is not stacked
+
+    def test_stacked_split_rejects_bad_levels(self):
+        v = sparse_from(6, [(0, 1.0)])
+        with pytest.raises(ValueError, match="expected 2 integer sparsity levels"):
+            preservation_split(v, [1, 2, 3], 2)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sparsify(v, [1, 0], [RandomStream(0), RandomStream(1)])
 
     def test_stacked_split_rejects_uneven_rows(self):
         with pytest.raises(ValueError, match="does not hold 4 equal vectors"):
@@ -208,6 +243,16 @@ class TestLockstepTrials:
         cfg = RsriConfig(m=1, t=3000, t_min=0, seed=0, trials=3)
         with pytest.raises(NonConvergenceError, match=r"trial 0: iterate diverged.* at step 1023"):
             estimate_rmse(problem, cfg, np.zeros(2))
+
+    def test_diverging_run_in_mixed_levels_is_named_by_its_trial(self):
+        # every run's 1-norm doubles alike, so the guard fires one step
+        # earlier at m = 4 than at m = 1: run 2 is the first trial at m = 4
+        G = 2.0 * np.roll(np.eye(8), 1, axis=0)
+        A = CscMatrix.from_dense(np.eye(8) - G)
+        cfg = RsriConfig(m=1, t=3000, t_min=0, seed=1, trials=2)
+        streams = [RandomStream(k) for k in range(4)]
+        with pytest.raises(NonConvergenceError, match=r"^m=4 trial 0: iterate diverged"):
+            _rsri_trials(A, sparse_from(8, [(0, 1.0), (1, 0.5)]), cfg, streams, [1, 1, 4, 4])
 
     def test_diverging_sparsified_steps_raise_before_any_warning(self):
         G = 2.0 * np.roll(np.eye(8), 1, axis=0)  # iterates outgrow m = 4 while doubling
@@ -257,6 +302,34 @@ class TestRunSweep:
                 assert np.isfinite(float(cell))
         # round-trip at 17 significant digits is lossless for doubles
         assert float(f"{rows[0].rmse:.17g}") == rows[0].rmse
+
+    def test_joint_sweep_equals_per_level_estimates(self, monkeypatch):
+        # one lockstep loop for all levels: each row equals estimate_rmse at
+        # its level, and the rows share the loop's wall time
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
+        x = reference_solve(prob.A, prob.b)
+        cfg = RsriConfig(m=2, t=60, t_min=20, seed=6, trials=3)
+        levels = [2, 5, 16, 300]
+        clock = iter([10.0, 17.5])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        rows = run_sweep(prob, cfg, levels, x, log=None)
+        assert sum(r.wall_clock_s for r in rows) == pytest.approx(7.5, rel=1e-15)
+        monkeypatch.undo()
+        for row, m in zip(rows, levels):
+            est = estimate_rmse(prob, replace(cfg, m=m), x)
+            assert row.m == m
+            for field in ("rmse", "bias_norm", "variance_est", "column_accesses"):
+                assert getattr(row, field) == getattr(est, field), (m, field)
+            walks = matched_walk_count(est.column_accesses, prob.alpha)
+            assert row.mc_rmse == _mc_rmse(prob, walks, cfg.trials, cfg.seed, x)
+
+    def test_rejects_repeated_levels(self, tmp_path):
+        prob = three_cycle_problem()
+        cfg = RsriConfig(m=1, t=10, t_min=5, seed=0, trials=2)
+        out = tmp_path / "never.csv"
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_sweep(prob, cfg, [1, 2, 2], csv_path=out, log=None)
+        assert not out.exists()
 
     def test_rejects_unsorted_m_list(self, tmp_path):
         prob = three_cycle_problem()

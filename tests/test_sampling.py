@@ -190,25 +190,25 @@ class TestPivotalSample:
 
 class TestPaddedRows:
     def test_rows_equal_separate_single_draws(self, np_rng):
-        # rows of different lengths and targets, zero-padded on the right,
-        # each with its own uniforms: row k is pivotal_sample on stream k
+        # rows of different lengths and targets laid end to end, each with
+        # its own uniforms: row k is pivotal_sample on stream 60 + k
         rows = [random_probability_vector(np_rng, int(n), int(m))
                 for n, m in [(12, 3), (5, 1), (30, 7), (2, 1)]]
         rows += [np.full(5, 0.2), np.array([1.0 - 2.0**-53])]  # completion, one entry
-        width = max(p.size for p in rows)
-        probs = np.zeros((len(rows), width))
-        u = np.zeros((len(rows), width - 1))
-        for k, p in enumerate(rows):
-            probs[k, : p.size] = p
-            u[k, : p.size - 1] = RandomStream(60 + k).random(p.size - 1)
+        starts = np.cumsum([0] + [p.size for p in rows[:-1]])
+        # the entry opening a row meets no one: its uniform is ignored
+        u = np.concatenate([np.append(0.5, RandomStream(60 + k).random(p.size - 1))
+                            for k, p in enumerate(rows)])
         targets = np.array([ProbabilityVector(p.size, p).target_size for p in rows])
-        sel = _pivotal_core(probs, targets, u)
+        sel = _pivotal_core(np.concatenate(rows), starts, targets, u[1:])
         for k, p in enumerate(rows):
-            np.testing.assert_array_equal(np.flatnonzero(sel[k]), pivotal_sample(p, RandomStream(60 + k)))
+            mine = sel[starts[k] : starts[k] + p.size]
+            want = pivotal_sample(p, RandomStream(60 + k))
+            np.testing.assert_array_equal(np.flatnonzero(mine), want)
 
     def test_wrong_target_raises(self):
         with pytest.raises(RuntimeError, match="selections for target 3"):
-            _pivotal_core(np.array([[0.5, 0.5]]), 3, np.array([[0.3]]))
+            _pivotal_core(np.array([0.5, 0.5]), np.array([0]), 3, np.array([0.3]))
 
 
 @st.composite

@@ -201,6 +201,53 @@ class TestSparsify:
             sigma[i] = abs(exact[i] / p) * np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(mean - exact) <= 4 * sigma + 1e-12)
 
+    @pytest.mark.parametrize("v,m", [
+        # ties
+        (sparse_from(8, [(0, 3.0), (1, -3.0), (2, 7.0), (3, 3.0), (4, -7.0), (5, 3.0),
+                         (7, 3.0)]), 4),
+        # subnormal magnitudes beside normal ones: subnormal probabilities at
+        # m = 2, normal ones on a subnormal residual at m = 4; then all subnormal
+        (sparse_from(6, [(0, 1.0), (1, 5 * 2.0**-1060), (2, 0.6), (3, -3 * 2.0**-1060),
+                         (4, 0.25), (5, 2.0**-1060)]), 2),
+        (sparse_from(6, [(0, 1.0), (1, 5 * 2.0**-1060), (2, 0.6), (3, -3 * 2.0**-1060),
+                         (4, 0.25), (5, 2.0**-1060)]), 4),
+        (sparse_from(6, [(i, (2 * i + 3) * 2.0**-1074) for i in range(6)]), 4),
+        # 1e+-300 magnitudes next to mixed signs
+        (sparse_from(5, [(0, 1e300), (1, -3e300), (2, 2e300), (3, 5e299), (4, -1e300)]), 2),
+        (sparse_from(5, [(0, 1e-300), (1, -3e-300), (2, 2e-300), (3, 5e-301), (4, -1e-300)]), 2),
+        (sparse_from(5, [(0, 1e300), (1, 1e-300), (2, -2e300), (3, 3e-300), (4, 5e299)]), 2),
+    ])
+    def test_unbiased_on_special_cases(self, v, m):
+        # fixed examples of vectors_and_m's tie, subnormal and 1e+-300 families
+        # with fixed streams, so the check is deterministic
+        split = preservation_split(v, m)
+        p = split.residual_probs
+        draws = 20_000
+        freq = pivotal_sample_batch(split.residual_vector(), RandomStream(7), draws).mean(axis=0)
+        assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / draws))
+        # one stacked call draws every copy of v on its own stream
+        copies = 2000
+        stacked = SparseVector(
+            copies * v.dim,
+            (np.arange(copies)[:, None] * v.dim + v.indices).ravel(),
+            np.tile(v.values, copies),
+        )
+        out = sparsify(stacked, m, [RandomStream(10_000 + k) for k in range(copies)])
+        dense = np.zeros(copies * v.dim)
+        dense[out.indices] = out.values
+        x = v.to_dense()
+        # mean of the per-draw errors: exact entries contribute exact zeros
+        err = [math.fsum(col) / copies for col in (dense.reshape(copies, v.dim) - x).T]
+        # |v_i|^2 (1 - p_i) / p_i with p_i = (m - q) |v_i| / T(q), in a form
+        # that neither overflows nor needs a p_i that underflowed to zero
+        res = split.residual_indices
+        a = np.abs(x[res])
+        share = math.fsum(a.tolist()) / (m - split.q)
+        se = np.zeros(v.dim)
+        se[res] = np.sqrt(a) * np.sqrt(np.maximum(share - a, 0.0)) / math.sqrt(copies)
+        tiny = np.finfo(float).smallest_subnormal  # one rounding of a kept entry
+        assert np.all(np.abs(err) <= 5 * se + tiny)
+
     def test_support_is_subset(self, np_rng):
         v = sparse_from(8, [(i, float(np_rng.normal())) for i in range(8)])
         rng = RandomStream(1)

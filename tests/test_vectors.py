@@ -149,10 +149,10 @@ class TestCoalesce:
             assert out.values.tolist() == [want[k] for k in kept]
 
     def test_binned_and_sorted_paths_agree(self, np_rng):
-        """coalesce bins its n keys over dim slots when dim <= n and sorts them
-        otherwise, so dim = n and dim = n + 1 run the same keys down each path.
-        test_matches_sequential_loop (dim 50, 1-300 keys) straddles the same
-        threshold against a Python loop."""
+        """coalesce bins its n keys over dim slots when 4 dim <= n bit_length(n)
+        and sorts them otherwise, so the widest dim that bins and one more run
+        the same keys down each path.  test_matches_sequential_loop (dim 50,
+        1-300 keys) straddles the same threshold against a Python loop."""
         cases = [
             ([0, 1, 0, 1], [1.5, -2.0, -1.5, 2.0], [], []),  # exact cancellation
             ([2, 0, 2, 1], [-0.0, -0.0, 3.0, -0.0], [2], [3.0]),  # 0.0 + -0.0 is 0.0
@@ -164,7 +164,8 @@ class TestCoalesce:
             cases.append((keys, vals, None, None))
         for keys, vals, want_idx, want_val in cases:
             n = len(keys)
-            binned, sorted_ = coalesce(n, keys, vals), coalesce(n + 1, keys, vals)
+            widest = n * n.bit_length() // 4
+            binned, sorted_ = coalesce(widest, keys, vals), coalesce(widest + 1, keys, vals)
             assert binned.indices.dtype == sorted_.indices.dtype == np.int64
             assert binned.indices.tolist() == sorted_.indices.tolist()
             assert binned.values.tobytes() == sorted_.values.tobytes()
