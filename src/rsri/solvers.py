@@ -22,7 +22,7 @@ import numpy as np
 
 from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
-from .sparsify import _levels, sparsify
+from .sparsify import sparsify
 from .vectors import SparseVector, coalesce, dot
 
 __all__ = [
@@ -137,16 +137,16 @@ def _iterate_trials(
     b: SparseVector,
     cfg: RsriConfig,
     streams: Sequence[RandomStream],
+    levels,
     consume: Callable[[SparseVector], None],
-    m=None,
 ) -> np.ndarray:
     """Drive one sparsified iteration per stream in lockstep.
 
     The iterates of all runs are stacked into one SparseVector of
     dimension ``len(streams) * A.dim``, entry i of run k at index
     ``k * A.dim + i``, so one sparsify, one gather and one coalesce
-    advance every run.  Run k is sparsified at level ``m`` (``cfg.m`` by
-    default) or, given one level per stream, at ``m[k]``.  consume
+    advance every run.  ``levels`` is one sparsity level for every run
+    or one per stream; cfg supplies t and t_min only.  consume
     receives each averaged iterate in that form.  Returns the exact
     column accesses per stream.  Every sum sees one run's operands in the
     order a run on its stream alone would, so each run's iterates do not
@@ -157,8 +157,9 @@ def _iterate_trials(
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     trials, dim = len(streams), A.dim
-    m = _levels(cfg.m if m is None else m, trials)
-    m_max = int(np.max(m))
+    levels = np.broadcast_to(levels, trials)
+    m = int(levels.max())
+    per_run = None if levels.min() == m else levels
     b_keys = (np.arange(trials)[:, None] * dim + b.indices).ravel()
     b_vals = np.tile(b.values, trials)
     x = SparseVector._make(trials * dim, b_keys, b_vals)
@@ -166,7 +167,7 @@ def _iterate_trials(
     if cfg.t_min == 0:
         consume(x)
     for s in range(1, cfg.t):
-        phi = sparsify(x, m, streams)
+        phi = sparsify(x, m, streams, per_run)
         trial = phi.indices // dim
         accesses += np.bincount(trial, minlength=trials)
         offset = trial * dim
@@ -178,14 +179,14 @@ def _iterate_trials(
                 np.concatenate([b_keys, phi.indices, np.repeat(offset, counts) + rows]),
                 np.concatenate([b_vals, phi.values, -vals]),
             )
-            if not float(np.abs(x.values).sum()) * m_max < math.inf:
+            if not float(np.abs(x.values).sum()) * m < math.inf:
                 # some run diverged, or only the sum over runs overflows
                 norm1 = np.bincount(x.indices // dim, np.abs(x.values), minlength=trials)
-                diverged = (~(norm1 * m < math.inf)).nonzero()[0]
+                diverged = (~(norm1 * levels < math.inf)).nonzero()[0]
                 if diverged.size:
                     k = diverged[0]
-                    if isinstance(m, np.ndarray):  # name the trial within its level
-                        run = f"m={m[k]} trial {np.count_nonzero(m[:k] == m[k])}: "
+                    if per_run is not None:  # name the trial within its level
+                        run = f"m={levels[k]} trial {np.count_nonzero(levels[:k] == levels[k])}: "
                     else:
                         run = f"trial {k}: " if trials > 1 else ""
                     raise NonConvergenceError(
@@ -241,10 +242,10 @@ class _Accumulator:
 
 
 def _rsri_trials(
-    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream], m=None
+    A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream], levels
 ) -> tuple[SparseVector, np.ndarray]:
     """One rsri run per stream, advanced in lockstep and summed in one
-    _Accumulator; run k at level ``m`` or ``m[k]`` as in _iterate_trials.
+    _Accumulator; ``levels`` as in _iterate_trials.
 
     Returns the averaged iterates stacked as one SparseVector, entry i of
     run k at index ``k * A.dim + i``, and the column accesses per stream.
@@ -255,7 +256,7 @@ def _rsri_trials(
     """
     dim = len(streams) * A.dim
     acc = _Accumulator(dim, dim <= DENSE_ACCUMULATOR_LIMIT)
-    accesses = _iterate_trials(A, b, cfg, streams, acc.add, m)
+    accesses = _iterate_trials(A, b, cfg, streams, levels, acc.add)
     return acc.average(cfg.t - cfg.t_min), accesses
 
 
@@ -267,7 +268,7 @@ def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -
     iterates s = t_min .. t - 1 along with the exact column-access count.
     """
     start = time.perf_counter()
-    estimate, accesses = _rsri_trials(A, b, cfg, [rng])
+    estimate, accesses = _rsri_trials(A, b, cfg, [rng], cfg.m)
     return SolveReport(
         estimate=estimate,
         column_accesses=int(accesses[0]),
@@ -299,7 +300,7 @@ def rsri_functionals(
         for k, f in enumerate(fs):
             totals[k] += dot(f, x)
 
-    _iterate_trials(A, b, cfg, [rng], consume)
+    _iterate_trials(A, b, cfg, [rng], cfg.m, consume)
     count = cfg.t - cfg.t_min
     return [t / count for t in totals]
 

@@ -9,12 +9,13 @@ then rescaled so the output is unbiased.  The output has at most m
 nonzeros and the same 1-norm as the input on every single draw.
 
 Both the split and the sparsifier also take many vectors stacked into
-one, each on its own stream and at its own level m if need be, which is
+one, each on its own stream and at its own level if need be, which is
 how the solver advances many runs in one step; a stacked vector's
 results equal separate calls bit for bit.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -58,15 +59,18 @@ class PreservationSplit:
         return ProbabilityVector(int(self.residual_indices.size), self.residual_probs)
 
 
-def preservation_split(v: SparseVector, m, rows: int = 1) -> PreservationSplit:
+def preservation_split(
+    v: SparseVector, m: int, rows: int = 1, levels=None
+) -> PreservationSplit:
     """Split v into the minimal exact set D and residual probabilities.
 
     With ``rows`` > 1, v holds that many vectors of dimension
     ``v.dim // rows`` end to end (entry i of vector k at index
     ``k * (v.dim // rows) + i``), and each is split as it would be alone.
-    ``m`` is one sparsity level for all of them or one per vector.
+    ``levels``, one int from 1 to m per vector, gives vector k the level
+    ``levels[k]`` in place of m.
     """
-    m = _levels(m, rows)
+    m = _levels(m, levels, rows)
     if rows < 1 or v.dim % rows:
         raise ValueError(f"dimension {v.dim} does not hold {rows} equal vectors")
     exact, probs = _split_one(v, m) if rows == 1 else _split_stacked(v, m, rows)
@@ -77,19 +81,26 @@ def preservation_split(v: SparseVector, m, rows: int = 1) -> PreservationSplit:
     )
 
 
-def _levels(m, rows: int):
-    """The sparsity level as an int, or as one int per stacked vector
-    when they differ."""
-    if isinstance(m, (int, np.integer)) or np.ndim(m) == 0:
-        if m < 1:
-            raise ValueError(f"sparsity level m must be >= 1, got {m}")
-        return int(m)
-    levels = np.asarray(m)
+def _levels(m, levels, rows: int):
+    """The level of every vector: m as an int, or one int per vector
+    where ``levels`` sets them apart.  A bool or non-integer m raises
+    TypeError."""
+    try:
+        if isinstance(m, bool):
+            raise TypeError
+        m = operator.index(m)
+    except TypeError:
+        raise TypeError(f"sparsity level m must be an integer, got {m!r}") from None
+    if m < 1:
+        raise ValueError(f"sparsity level m must be >= 1, got {m}")
+    if levels is None:
+        return m
+    levels = np.asarray(levels)
     if levels.shape != (rows,) or levels.dtype.kind not in "iu":
         raise ValueError(f"expected {rows} integer sparsity levels, got {levels!r}")
     low, high = levels.min(), levels.max()
-    if low < 1:
-        raise ValueError(f"sparsity levels must be >= 1, got {low}")
+    if low < 1 or high > m:
+        raise ValueError(f"sparsity levels must lie in 1..{m}, got {low}..{high}")
     return int(low) if low == high else levels.astype(np.int64, copy=False)
 
 
@@ -168,7 +179,7 @@ def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarra
 
 
 def sparsify(
-    v: SparseVector, m, rng: Union[RandomStream, Sequence[RandomStream]]
+    v: SparseVector, m: int, rng: Union[RandomStream, Sequence[RandomStream]], levels=None
 ) -> SparseVector:
     """Random sparse approximation of v: unbiased, at most m nonzeros.
 
@@ -177,26 +188,28 @@ def sparsify(
     input on every draw, which is what keeps the solver iterates stable.
 
     ``rng`` may be a sequence of streams, one per vector of a stacked v
-    (see :func:`preservation_split`), and ``m`` one level per vector:
-    vector k is then sparsified at its level on ``rng[k]`` exactly as a
-    call on it alone would, reading the same ``nnz_k - 1`` uniforms from
-    that stream.  v is returned as it is when every vector holds at most
-    its m entries.
+    (see :func:`preservation_split`), and ``levels`` one level from 1 to
+    m per vector: vector k is then sparsified at its level on ``rng[k]``
+    exactly as a call on it alone would, reading the same ``nnz_k - 1``
+    uniforms from that stream.  v is returned as it is when every vector
+    holds at most its level's entries.
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
-    m = _levels(m, len(streams))
-    if len(streams) == 1 and v.nnz <= m:
+    level = _levels(m, levels, len(streams))
+    if np.ndim(level) == 0 and v.nnz <= level:
         return v
-    split = preservation_split(v, m, len(streams))
-    if not split.residual_positions.size:  # every vector holds at most its m entries
+    split = preservation_split(v, m, len(streams), levels)
+    if not split.residual_positions.size:  # every vector holds at most its level's entries
         return v
     # split probabilities honor the ProbabilityVector contract by construction
     if len(streams) == 1:
-        chosen = _pivotal_positions(split.residual_probs, m - split.q, streams[0])
+        chosen = _pivotal_positions(split.residual_probs, level - split.q, streams[0])
     else:
         dim = v.dim // len(streams)
         kept = np.bincount(split.exact_indices // dim, minlength=len(streams))
-        chosen = _pivotal_rows(split.residual_probs, split.residual_indices // dim, m - kept, streams)
+        chosen = _pivotal_rows(
+            split.residual_probs, split.residual_indices // dim, level - kept, streams
+        )
     pos = np.sort(np.concatenate([split.exact_positions, split.residual_positions[chosen]]))
     weight = np.ones(v.nnz)  # exact entries are divided by one, which is exact
     weight[split.residual_positions] = split.residual_probs

@@ -97,7 +97,9 @@ def single_runs(A, b, cfg):
 
 def batch_runs(A, b, cfg):
     master = RandomStream(cfg.seed)
-    average, accesses = _rsri_trials(A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)])
+    average, accesses = _rsri_trials(
+        A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)], cfg.m
+    )
     return average.to_dense().reshape(cfg.trials, A.dim), accesses
 
 
@@ -168,7 +170,9 @@ class TestLockstepTrials:
         sizes = []
         for k in range(cfg.trials):
             seen = []
-            _iterate_trials(prob.A, prob.b, cfg, [spawn_stream(master, k)], lambda x: seen.append(x.nnz))
+            _iterate_trials(
+                prob.A, prob.b, cfg, [spawn_stream(master, k)], cfg.m, lambda x: seen.append(x.nnz)
+            )
             sizes.append(seen)
         over = np.array(sizes) > cfg.m  # per trial and step: does sparsify draw?
         assert np.any(over.any(axis=0) & ~over.all(axis=0)), "no step mixes both kinds"
@@ -192,13 +196,14 @@ class TestLockstepTrials:
             np.concatenate([6 * k + v.indices for k, v in enumerate(vectors)]),
             np.concatenate([v.values for v in vectors]),
         )
-        for m in (1, 2, 3, [3, 1, 2, 6, 5, 6], [2, 1, 1, 1, 3, 4], [4, 2, 9, 1, 2, 5]):
-            split = preservation_split(stacked, m, len(vectors))
+        for m, levels in ((1, None), (2, None), (3, None), (6, [3, 1, 2, 6, 5, 6]),
+                          (4, [2, 1, 1, 1, 3, 4]), (9, [4, 2, 9, 1, 2, 5])):
+            split = preservation_split(stacked, m, len(vectors), levels)
             streams = [RandomStream(40 + k) for k in range(len(vectors))]
-            out = sparsify(stacked, m, streams)
+            out = sparsify(stacked, m, streams, levels)
             for k, v in enumerate(vectors):
                 single = RandomStream(40 + k)
-                m_k = m[k] if isinstance(m, list) else m
+                m_k = m if levels is None else levels[k]
                 want = sparsify(v, m_k, single)
                 mine = out.indices // 6 == k
                 np.testing.assert_array_equal(out.indices[mine] - 6 * k, want.indices)
@@ -216,16 +221,29 @@ class TestLockstepTrials:
         # every vector holds at most its own m, though more than the smallest m
         stacked = sparse_from(6, [(0, 1.0), (1, 2.0), (3, 4.0)])
         streams = [RandomStream(1), RandomStream(2)]
-        assert sparsify(stacked, [2, 1], streams) is stacked
+        assert sparsify(stacked, 2, streams, levels=[2, 1]) is stacked
         assert streams[0].random() == RandomStream(1).random()
-        assert sparsify(stacked, [1, 1], streams) is not stacked
+        assert sparsify(stacked, 2, streams, levels=[1, 1]) is not stacked
 
     def test_stacked_split_rejects_bad_levels(self):
         v = sparse_from(6, [(0, 1.0)])
+        streams = [RandomStream(0), RandomStream(1)]
         with pytest.raises(ValueError, match="expected 2 integer sparsity levels"):
-            preservation_split(v, [1, 2, 3], 2)
+            preservation_split(v, 3, 2, levels=[1, 2, 3])
+        with pytest.raises(ValueError, match="expected 2 integer sparsity levels"):
+            sparsify(v, 3, streams, levels=[1.0, 2.0])
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.2, got 0\.\.2"):
+            sparsify(v, 2, streams, levels=[2, 0])
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.1, got 1\.\.2"):
+            preservation_split(v, 1, 2, levels=[1, 2])
         with pytest.raises(ValueError, match="must be >= 1"):
-            sparsify(v, [1, 0], [RandomStream(0), RandomStream(1)])
+            sparsify(v, 0, streams)
+        # m itself is one integer: never truncated, never a list
+        for m in (2.5, True, [1, 2]):
+            with pytest.raises(TypeError, match="must be an integer"):
+                sparsify(v, m, streams)
+            with pytest.raises(TypeError, match="must be an integer"):
+                preservation_split(v, m, 2)
 
     def test_stacked_split_rejects_uneven_rows(self):
         with pytest.raises(ValueError, match="does not hold 4 equal vectors"):

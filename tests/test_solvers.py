@@ -141,7 +141,9 @@ class TestRsri:
         cfg = RsriConfig(m=2, t=50, t_min=10, seed=3, trials=1)
         counts = []
         rng = RandomStream(3)
-        (accesses,) = _iterate_trials(prob.A, prob.b, cfg, [rng], lambda x: counts.append(x.nnz))
+        (accesses,) = _iterate_trials(
+            prob.A, prob.b, cfg, [rng], cfg.m, lambda x: counts.append(x.nnz)
+        )
         rep = rsri(prob.A, prob.b, cfg, RandomStream(3))
         assert rep.column_accesses == accesses
         assert rep.column_accesses <= cfg.m * (cfg.t - 1)
@@ -163,7 +165,7 @@ class TestRsri:
         cfg = RsriConfig(m=5, t=300, t_min=0, seed=12, trials=1)
         norms_seen = []
         _iterate_trials(
-            A, b, cfg, [RandomStream(12)],
+            A, b, cfg, [RandomStream(12)], cfg.m,
             lambda x: norms_seen.append(float(np.abs(x.values).sum())),
         )
         s = np.arange(cfg.t)
@@ -220,7 +222,9 @@ class TestRsri:
         # the lockstep runs sum sparsely above the limit too, one row per stream
         folded.clear()
         master = RandomStream(9)
-        average, _ = solvers._rsri_trials(prob.A, prob.b, cfg, [spawn_stream(master, k) for k in range(3)])
+        average, _ = solvers._rsri_trials(
+            prob.A, prob.b, cfg, [spawn_stream(master, k) for k in range(3)], cfg.m
+        )
         assert sum(folded) == cfg.t - cfg.t_min
         rows = average.to_dense().reshape(3, prob.A.dim)
         for k in range(3):
