@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,40 +56,133 @@ def _stochastic_columns(P: ColumnMatrix, cols: np.ndarray):
     return rows, vals, counts
 
 
-def _surfer_moves(P: ColumnMatrix, current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next state of every walker: in its column j of P, the entry at
-    ``searchsorted(cdf_j, u * cdf_j[-1], "right")`` with cdf_j the cumulative
-    sum of the column, found by one vectorised bisection for all walkers.
+class _ColumnStore:
+    """Rows and cumulative sums of the columns of P read so far.
 
-    Each touched column is read and checked once per call.  The cumulative
-    sums are row-wise ``cumsum``s over the columns zero-padded to the next
-    power of two of their length, one band per width, so each equals the
+    Each column is read, checked for stochasticity and summed once, when
+    a walker first stands on it; column j's entries then sit at
+    ``base[j] .. base[j] + count[j] - 1`` of ``rows`` and ``cdf``, and
+    ``count[j]`` is 0 until it is read.  The cumulative sums are
+    row-wise ``cumsum``s over the columns zero-padded to the next power
+    of two of their length, one band per width, so each equals the
     cumulative sum of its column alone and the padding stays below the
     number of entries read.
     """
-    cols, which = np.unique(current, return_inverse=True)
-    rows, vals, counts = _stochastic_columns(P, cols)
-    starts = counts.cumsum() - counts
-    cdf = np.empty(rows.size)
-    shift = np.frexp(counts - 1)[1]  # the width 2**shift is the least power of two >= count
-    for e in np.unique(shift).tolist():
-        band = (shift == e).nonzero()[0]
-        n = counts[band]
-        offset = np.arange(n.sum()) - np.repeat(n.cumsum() - n, n)  # entry within its column
-        entry = np.repeat(starts[band], n) + offset
-        slot = np.repeat(np.arange(band.size) << e, n) + offset
-        padded = np.zeros(band.size << e)
-        padded[slot] = vals[entry]
-        cdf[entry] = padded.reshape(band.size, 1 << e).cumsum(axis=1).ravel()[slot]
-    base, n = starts[which], counts[which]
-    target = u * cdf[base + n - 1]
-    lo, hi = np.zeros(current.size, dtype=np.int64), n.copy()
-    for _ in range(int(counts.max()).bit_length()):
-        mid = (lo + hi) >> 1
-        le = (lo < hi) & (cdf[base + np.minimum(mid, n - 1)] <= target)
-        hi = np.where((lo < hi) & ~le, mid, hi)
-        lo = np.where(le, mid + 1, lo)
-    return rows[base + np.minimum(lo, n - 1)]
+
+    def __init__(self, P: ColumnMatrix):
+        self.P = P
+        self.base = np.zeros(P.dim, dtype=np.int64)
+        self.count = np.zeros(P.dim, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.int64)
+        self.cdf = np.empty(0)
+        self.size = 0
+
+    def _read(self, cols: np.ndarray):
+        rows, vals, counts = _stochastic_columns(self.P, cols)
+        starts = counts.cumsum() - counts
+        cdf = np.empty(rows.size)
+        shift = np.frexp(counts - 1)[1]  # the width 2**shift is the least power of two >= count
+        for e in np.unique(shift).tolist():
+            band = (shift == e).nonzero()[0]
+            n = counts[band]
+            offset = np.arange(n.sum()) - np.repeat(n.cumsum() - n, n)  # entry within its column
+            entry = np.repeat(starts[band], n) + offset
+            slot = np.repeat(np.arange(band.size) << e, n) + offset
+            padded = np.zeros(band.size << e)
+            padded[slot] = vals[entry]
+            cdf[entry] = padded.reshape(band.size, 1 << e).cumsum(axis=1).ravel()[slot]
+        end = self.size + rows.size
+        if end > self.cdf.size:  # grow by doubling, so appends cost O(1) per entry
+            grown = max(end, 2 * self.cdf.size)
+            self.rows = np.concatenate([self.rows[: self.size], np.empty(grown - self.size, np.int64)])
+            self.cdf = np.concatenate([self.cdf[: self.size], np.empty(grown - self.size)])
+        self.rows[self.size : end] = rows
+        self.cdf[self.size : end] = cdf
+        self.base[cols] = self.size + starts
+        self.count[cols] = counts
+        self.size = end
+
+    def moves(self, current: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of every walker: in its column j of P, the entry at
+        ``searchsorted(cdf_j, u * cdf_j[-1], "right")``, or the last entry
+        if that is past the end, found by one vectorised bisection for all
+        walkers.  Columns not read yet are read first, in ascending order."""
+        fresh = current[self.count[current] == 0]
+        if fresh.size:
+            self._read(np.unique(fresh))
+        lo = self.base[current]
+        hi = lo + self.count[current] - 1  # the last entry is the pick when no other is
+        target = u * self.cdf[hi]
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            open_ = lo < hi
+            le = self.cdf[mid] <= target
+            hi = np.where(open_ & ~le, mid, hi)
+            lo = np.where(open_ & le, mid + 1, lo)
+        return self.rows[lo]
+
+
+def _surfer_runs(
+    P: ColumnMatrix,
+    s: SparseVector,
+    alpha: float,
+    walks: Sequence[int],
+    streams: Sequence[RandomStream],
+) -> list[SparseVector]:
+    """One mc_surfer estimate per run, every run's walkers advanced in one loop.
+
+    Run k averages walks[k] walks and reads from streams[k] exactly the
+    uniforms a lone ``mc_surfer(P, s, alpha, walks[k], streams[k])``
+    reads, in the same order, so each estimate equals that run's bit
+    for bit.  The walkers of run k are keyed ``k * P.dim + state``: one
+    stable ordering of the keys per step hands each run's uniforms out
+    by ascending state and then by walker.  Every column is read and
+    checked once per call, when a walker of any run first stands on it.
+    Memory grows with the walkers of all runs together.
+    """
+    _validate_walk_inputs(s, alpha)
+    if len(walks) != len(streams):
+        raise ValueError("need one walk count per stream")
+    if min(walks) < 1:
+        raise ValueError("m must be >= 1")
+    if s.dim != P.dim:
+        raise ValueError("dimension mismatch between P and s")
+    cap = math.ceil(1e4 / (1.0 - alpha))
+    dim, runs = P.dim, len(streams)
+    ends = np.cumsum(walks)  # run k's walkers are ends[k] - walks[k] .. ends[k] - 1
+
+    def draws(alive: np.ndarray) -> np.ndarray:
+        # one uniform per alive walker, run after run, each from its own stream
+        cuts = np.searchsorted(alive, ends).tolist()
+        return np.concatenate(
+            [rng.random(hi - lo) for rng, lo, hi in zip(streams, [0] + cuts, cuts) if hi > lo]
+        )
+
+    start_cdf = np.cumsum(s.values)
+    alive = np.arange(ends[-1])
+    pos = np.searchsorted(start_cdf, draws(alive) * start_cdf[-1], side="right")
+    states = s.indices[np.minimum(pos, s.indices.size - 1)]  # a stopped walker's stays
+    store = _ColumnStore(P)
+
+    step = 0
+    while alive.size:
+        if step > cap:
+            raise WalkCapError(f"walk exceeded {cap} steps; transition matrix suspect")
+        alive = alive[draws(alive) < alpha]
+        if alive.size == 0:
+            break
+        current = states[alive]
+        keys = np.searchsorted(ends, alive, side="right") * dim + current
+        u = np.empty(alive.size)
+        u[_stable_order(keys, runs * dim)] = draws(alive)
+        del keys  # one walker-sized array less during the search
+        states[alive] = store.moves(current, u)
+        step += 1
+
+    return [
+        SparseVector.from_dense(np.bincount(states[end - m : end], minlength=dim) / m)
+        for m, end in zip(walks, ends.tolist())
+    ]
 
 
 def mc_surfer(
@@ -100,41 +193,13 @@ def mc_surfer(
 
     Each walk starts from s and at every step either moves through the
     current column of P (probability alpha) or stops.  Columns are
-    checked for stochasticity as they are touched.  A step reads one
-    uniform per moving walker, handed out by ascending state and then by
-    walker, as a loop over the distinct states would read them.
+    checked for stochasticity as they are first touched.  A step reads
+    one uniform per moving walker, handed out by ascending state and
+    then by walker, as a loop over the distinct states would read them.
+    This is the one-run case of _surfer_runs, which the harness uses to
+    advance the walkers of several runs in one loop.
     """
-    _validate_walk_inputs(s, alpha)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if s.dim != P.dim:
-        raise ValueError("dimension mismatch between P and s")
-    cap = math.ceil(1e4 / (1.0 - alpha))
-
-    start_cdf = np.cumsum(s.values)
-    pos = np.searchsorted(start_cdf, rng.random(m) * start_cdf[-1], side="right")
-    states = s.indices[np.minimum(pos, s.indices.size - 1)]
-    final = np.empty(m, dtype=np.int64)
-    alive = np.arange(m)
-
-    step = 0
-    while alive.size:
-        if step > cap:
-            raise WalkCapError(f"walk exceeded {cap} steps; transition matrix suspect")
-        move = rng.random(alive.size) < alpha
-        stopped = alive[~move]
-        final[stopped] = states[stopped]
-        alive = alive[move]
-        if alive.size == 0:
-            break
-        current = states[alive]
-        u = np.empty(alive.size)
-        u[_stable_order(current, P.dim)] = rng.random(alive.size)
-        states[alive] = _surfer_moves(P, current, u)
-        step += 1
-
-    counts = np.bincount(final, minlength=P.dim)
-    return SparseVector.from_dense(counts / m)
+    return _surfer_runs(P, s, alpha, [m], [rng])[0]
 
 
 def push_cd(

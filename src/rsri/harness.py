@@ -3,7 +3,8 @@
 Trials run in lockstep through one batched solver step, trial k on
 spawn_stream(seed, k) and bit-identical to rsri on that stream alone;
 a sweep runs the trials of all its sparsity levels in that one loop.
-The matched-cost Monte Carlo trials run one after another.  Sweep CSVs
+The matched-cost Monte Carlo column runs one surfer loop per trial,
+which advances that trial's walkers of every level at once.  Sweep CSVs
 are byte-stable across identical runs: everything written is a pure
 function of the flags and seed, which is why measured wall-clock times
 go to the returned rows and the log, not into the file.
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import mc_surfer
+from .baselines import _surfer_runs
 from .sampling import RandomStream, spawn_stream
 from .solvers import RsriConfig, _rsri_trials, reference_solve
 from .svgplot import svg_line_plot
@@ -89,14 +90,10 @@ def _estimate_levels(
         problem.A, problem.b, cfg, streams, np.repeat(levels, cfg.trials)
     )
     wall = (time.perf_counter() - start) / len(levels)
-    span = cfg.trials * problem.A.dim
-    cuts = np.searchsorted(average.indices, np.arange(len(levels) + 1) * span)
     out = []
-    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        # one level densified at a time: trials x dim, never the whole stack
-        estimates = np.zeros(span)
-        estimates[average.indices[lo:hi] - i * span] = average.values[lo:hi]
-        estimates = estimates.reshape(cfg.trials, problem.A.dim)
+    for i in range(len(levels)):
+        # one level's trials x dim rows at a time, a view of a dense sum
+        estimates = average.rows(i * cfg.trials, (i + 1) * cfg.trials)
         errors = estimates - oracle
         rmse = float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
         mean_est = estimates.mean(axis=0)
@@ -118,15 +115,31 @@ def matched_walk_count(column_accesses: int, alpha: float) -> int:
 
 
 def _mc_rmse(problem, walks: int, trials: int, seed: int, oracle: np.ndarray) -> float:
+    """Monte Carlo RMSE of walks-walk surfer estimates over trials; the
+    one-level case of _mc_rmse_levels."""
+    return _mc_rmse_levels(problem, [walks], trials, seed, oracle)[0]
+
+
+def _mc_rmse_levels(
+    problem, walks: Sequence[int], trials: int, seed: int, oracle: np.ndarray
+) -> list[float]:
+    """Monte Carlo RMSE per walk count, one surfer loop per trial.
+
+    Trial k of every walk count draws from spawn_stream(seed, 2**31 + k),
+    a spawn namespace apart from the solver trials, and one _surfer_runs
+    call advances the walkers of all counts, so each figure equals a loop
+    of lone mc_surfer runs bit for bit.  Grouping by trial keeps memory
+    to one trial's walkers across all levels: for a doubling m list the
+    counts double too, so that is under twice the largest count's.
+    """
     master = RandomStream(seed)
-    total = 0.0
+    totals = [0.0] * len(walks)
     for k in range(trials):
-        # separate spawn namespace from the solver trials
-        stream = spawn_stream(master, 2**31 + k)
-        est = mc_surfer(problem.P, problem.s, problem.alpha, walks, stream)
-        diff = est.to_dense() - oracle
-        total += float(np.dot(diff, diff))
-    return math.sqrt(total / trials)
+        streams = [spawn_stream(master, 2**31 + k) for _ in walks]
+        for i, est in enumerate(_surfer_runs(problem.P, problem.s, problem.alpha, walks, streams)):
+            diff = est.to_dense() - oracle
+            totals[i] += float(np.dot(diff, diff))
+    return [math.sqrt(total / trials) for total in totals]
 
 
 def run_sweep(
@@ -145,8 +158,10 @@ def run_sweep(
     spawn_stream(seed, k), so each row equals estimate_rmse at its level
     except for wall_clock_s: the loop's wall time divided by the number
     of levels, so the rows sum to it.  The Monte Carlo column runs after
-    the loop.  The problem must carry a transition matrix (P, s, alpha)
-    so a matched-cost Monte Carlo column can be produced.  Nothing is
+    the loop, one surfer loop per trial over the walkers of every level,
+    each level's figure equal to a loop of lone mc_surfer runs.  The
+    problem must carry a transition matrix (P, s, alpha) so a
+    matched-cost Monte Carlo column can be produced.  Nothing is
     written until every row exists, and each file is then replaced
     atomically, so a sweep that fails midway leaves existing files
     untouched.
@@ -157,10 +172,11 @@ def run_sweep(
     if oracle is None:
         oracle = reference_solve(problem.A, problem.b)
     shared = f" (1/{len(levels)} of the loop the levels share)" if len(levels) > 1 else ""
+    estimates = _estimate_levels(problem, base_cfg, levels, oracle)
+    walks = [matched_walk_count(est.column_accesses, problem.alpha) for est in estimates]
+    mc_rmse = _mc_rmse_levels(problem, walks, base_cfg.trials, base_cfg.seed, oracle)
     rows = []
-    for m, est in zip(levels, _estimate_levels(problem, base_cfg, levels, oracle)):
-        walks = matched_walk_count(est.column_accesses, problem.alpha)
-        mc = _mc_rmse(problem, walks, base_cfg.trials, base_cfg.seed, oracle)
+    for m, est, mc in zip(levels, estimates, mc_rmse):
         rows.append(SweepRow(m=m, mc_rmse=mc, **vars(est)))
         if log is not None:
             print(

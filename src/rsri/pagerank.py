@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CscMatrix, _read_table
-from .vectors import SparseVector, coalesce
+from .vectors import SparseVector, _stable_order, coalesce
 
 __all__ = [
     "EdgeList",
@@ -79,15 +79,27 @@ def load_edge_list(path) -> EdgeList:
     if not table.size:
         raise ValueError("edge list contains no edges")
     # ids follow first appearance in file order: from, to, from, to, ...
-    labels, first, inverse = np.unique(table.view(np.int64), return_index=True,
-                                       return_inverse=True)
-    order = np.argsort(first)
-    src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
+    flat = table.view(np.int64)
+    low = int(flat.min())
+    # past a span of 2**63 the keys wrap around, yet stay one to one, and
+    # _stable_order takes the stable argsort of keys that wide
+    order = _stable_order(flat - low, int(flat.max()) - low + 1)
+    ranked = flat[order]
+    new = np.empty(flat.size, dtype=bool)  # first entry of each label's run
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    firsts = order[new]  # position of each label's first appearance, by label
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[firsts] = True
+    ids = np.empty(flat.size, dtype=np.int64)
+    ids[order] = (np.cumsum(seen) - 1)[firsts][np.cumsum(new) - 1]
+    src, dst = ids.reshape(-1, 2).T
+    labels = flat[seen]
     return EdgeList(
-        node_count=order.size,
+        node_count=labels.size,
         src=src,
         dst=dst,
-        id_map=dict(zip(labels[order].tolist(), range(order.size))),
+        id_map=dict(zip(labels.tolist(), range(labels.size))),
     )
 
 

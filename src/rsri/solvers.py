@@ -198,20 +198,24 @@ def _iterate_trials(
 
 
 class _Accumulator:
-    """Running sum of sparse iterates, dense or sparse as the caller asks.
+    """Running sum of stacked sparse iterates, dense or sparse as the caller asks.
 
-    A dense sum is one array.  A sparse sum (the regime where the solution
-    itself is too large to store densely) is a SparseVector; iterates are
-    buffered behind it and folded in with one coalesce once their entries
-    outnumber its support, so a fold costs about as much as the entries it
-    absorbs.  The running sum goes first in a fold and coalesce adds in
-    input order, so both layouts add each entry's terms in iterate order
-    and give the same bits, whatever the fold schedule.
+    Entry i of run k sits at ``k * dim + i``.  A dense sum is one array.
+    A sparse sum (the regime where the solution itself is too large to
+    store densely) is a SparseVector; iterates are buffered behind it and
+    folded in with one coalesce once their entries outnumber its support,
+    so a fold costs about as much as the entries it absorbs.  The running
+    sum goes first in a fold and coalesce adds in input order, so both
+    layouts add each entry's terms in iterate order and give the same
+    bits, whatever the fold schedule.  ``finish`` turns the sum into the
+    average; ``rows`` then reads runs of it densely and ``vector``
+    returns it whole.
     """
 
-    def __init__(self, dim: int, dense: bool):
-        self.dense = np.zeros(dim) if dense else None
-        self.parts = [SparseVector.empty(dim)]  # running sum, then buffered iterates
+    def __init__(self, runs: int, dim: int, dense: bool):
+        self.dim = dim
+        self.dense = np.zeros(runs * dim) if dense else None
+        self.parts = [SparseVector.empty(runs * dim)]  # running sum, then buffered iterates
         self.buffered = 0
 
     def add(self, v: SparseVector):
@@ -229,35 +233,51 @@ class _Accumulator:
         self.parts = [coalesce(self.parts[0].dim, idx, val)]
         self.buffered = 0
 
-    def average(self, count: int) -> SparseVector:
-        """The sum divided by count; ends the accumulation."""
+    def finish(self, count: int):
+        """Divide the sum by count; ends the accumulation."""
         if self.dense is not None:
             self.dense /= count  # in place: a stacked sum can be large
-            return SparseVector.from_dense(self.dense)
+            return
         self._fold()
         total = self.parts[0]
         val = total.values / count
         keep = val != 0.0
-        return SparseVector(total.dim, total.indices[keep], val[keep])
+        self.parts = [SparseVector(total.dim, total.indices[keep], val[keep])]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Runs lo .. hi - 1 as a dense (hi - lo, dim) array, a view of a dense sum."""
+        if self.dense is not None:
+            return self.dense[lo * self.dim : hi * self.dim].reshape(hi - lo, self.dim)
+        total = self.parts[0]
+        a, z = np.searchsorted(total.indices, [lo * self.dim, hi * self.dim])
+        out = np.zeros((hi - lo) * self.dim)
+        out[total.indices[a:z] - lo * self.dim] = total.values[a:z]
+        return out.reshape(hi - lo, self.dim)
+
+    def vector(self) -> SparseVector:
+        """Every run as one stacked SparseVector."""
+        if self.dense is not None:
+            return SparseVector.from_dense(self.dense)
+        return self.parts[0]
 
 
 def _rsri_trials(
     A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, streams: Sequence[RandomStream], levels
-) -> tuple[SparseVector, np.ndarray]:
+) -> tuple[_Accumulator, np.ndarray]:
     """One rsri run per stream, advanced in lockstep and summed in one
     _Accumulator; ``levels`` as in _iterate_trials.
 
-    Returns the averaged iterates stacked as one SparseVector, entry i of
-    run k at index ``k * A.dim + i``, and the column accesses per stream.
+    Returns the finished accumulator, which holds the averaged iterates
+    of run k at ``k * A.dim + i``, and the column accesses per stream.
     Run k equals rsri on streams[k] at its level alone bit for bit.  The
     sum is dense while the stacked dimension ``len(streams) * A.dim`` is
     at most DENSE_ACCUMULATOR_LIMIT and sparse above it; the limit
     chooses the memory layout only.
     """
-    dim = len(streams) * A.dim
-    acc = _Accumulator(dim, dim <= DENSE_ACCUMULATOR_LIMIT)
+    acc = _Accumulator(len(streams), A.dim, len(streams) * A.dim <= DENSE_ACCUMULATOR_LIMIT)
     accesses = _iterate_trials(A, b, cfg, streams, levels, acc.add)
-    return acc.average(cfg.t - cfg.t_min), accesses
+    acc.finish(cfg.t - cfg.t_min)
+    return acc, accesses
 
 
 def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -> SolveReport:
@@ -268,9 +288,9 @@ def rsri(A: ColumnMatrix, b: SparseVector, cfg: RsriConfig, rng: RandomStream) -
     iterates s = t_min .. t - 1 along with the exact column-access count.
     """
     start = time.perf_counter()
-    estimate, accesses = _rsri_trials(A, b, cfg, [rng], cfg.m)
+    average, accesses = _rsri_trials(A, b, cfg, [rng], cfg.m)
     return SolveReport(
-        estimate=estimate,
+        estimate=average.vector(),
         column_accesses=int(accesses[0]),
         wall_clock=time.perf_counter() - start,
         rng_kind=rng.kind,

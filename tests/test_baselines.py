@@ -7,10 +7,14 @@ from rsri import (
     CscMatrix,
     RandomStream,
     SparseVector,
+    build_problem,
     mc_surfer,
     push_cd,
     reference_solve,
+    synth_bounded_outdegree,
 )
+
+from rsri.baselines import _surfer_runs
 
 from conftest import fit_loglog_slope, sparse_from, three_cycle_problem
 
@@ -18,6 +22,39 @@ from conftest import fit_loglog_slope, sparse_from, three_cycle_problem
 def self_loop():
     P = CscMatrix.from_dense(np.array([[1.0]]))
     s = SparseVector.basis(1, 0)
+    return P, s
+
+
+class ZeroStream:
+    kind = "zeros"
+
+    def random(self, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
+
+class ScriptedStream:
+    """Hands out the given uniforms in order."""
+
+    kind = "script"
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def hub_graph(n=2000):
+    """A hub of out-degree n whose n leaves all point back at it, with a
+    uniform start: one step touches the hub and every leaf at once."""
+    P = CscMatrix(
+        n + 1,
+        np.concatenate([[0, n], n + np.arange(1, n + 1)]),
+        np.concatenate([np.arange(1, n + 1), np.zeros(n, dtype=np.int64)]),
+        np.concatenate([np.full(n, 1.0 / n), np.ones(n)]),
+    )
+    s = SparseVector(n + 1, np.arange(n + 1), np.full(n + 1, 1.0 / (n + 1)))
     return P, s
 
 
@@ -86,13 +123,7 @@ class TestMcSurfer:
         # the uniforms handed out by ascending state, and memory must stay
         # proportional to the entries read, not to hub degree x columns
         n = 2000
-        P = CscMatrix(
-            n + 1,
-            np.concatenate([[0, n], n + np.arange(1, n + 1)]),
-            np.concatenate([np.arange(1, n + 1), np.zeros(n, dtype=np.int64)]),
-            np.concatenate([np.full(n, 1.0 / n), np.ones(n)]),
-        )
-        s = SparseVector(n + 1, np.arange(n + 1), np.full(n + 1, 1.0 / (n + 1)))
+        P, s = hub_graph(n)
         walks, alpha = 6000, 0.85
 
         def per_column_search(rng):
@@ -135,15 +166,80 @@ class TestMcSurfer:
     def test_walk_cap_guards_against_immortal_walkers(self):
         from rsri import WalkCapError
 
-        class ZeroStream:
-            kind = "zeros"
-
-            def random(self, size=None):
-                return np.zeros(size) if size is not None else 0.0
-
         P, s = self_loop()
         with pytest.raises(WalkCapError):
             mc_surfer(P, s, 0.5, 1, ZeroStream())
+
+
+
+def assert_same_estimate(got, want):
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestSurferRuns:
+    def test_runs_equal_lone_runs(self):
+        # every run starts from the source, so the runs share states from
+        # the first step; streams 0 and 1 each drive two runs of
+        # different lengths
+        prob = build_problem(synth_bounded_outdegree(300, 3, seed=4), 0.85, source=0)
+        walks = [1, 2, 500, 37, 1, 2000]
+        seeds = [0, 1, 0, 2, 1, 3]
+        streams = [RandomStream(k) for k in seeds]
+        got = _surfer_runs(prob.P, prob.s, 0.85, walks, streams)
+        assert len(got) == len(walks)
+        for k, (m, seed) in enumerate(zip(walks, seeds)):
+            lone_stream = RandomStream(seed)
+            assert_same_estimate(got[k], mc_surfer(prob.P, prob.s, 0.85, m, lone_stream))
+            # run k read exactly the uniforms of its lone run, no more
+            assert streams[k].random() == lone_stream.random(), f"run {k}"
+
+    def test_hub_column_beside_a_second_population(self):
+        P, s = hub_graph()
+        walks, alpha = [6000, 3000], 0.85
+        tracemalloc.start()
+        try:
+            got = _surfer_runs(P, s, alpha, walks, [RandomStream(3), RandomStream(4)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for k, seed in enumerate((3, 4)):
+            assert_same_estimate(got[k], mc_surfer(P, s, alpha, walks[k], RandomStream(seed)))
+        assert peak < 8 * 2**20, peak
+
+    def test_nonstochastic_column_touched_by_one_run(self):
+        # node 0 moves to node 1 or 2; column 1 returns to 0, column 2 sums
+        # to 0.9.  Each stream hands out a start, then a move and a pick per
+        # step: run 0 goes 0 -> 1 -> 0 -> stop, run 1 goes 0 -> 2 and is
+        # still moving when it stands on 2
+        P = CscMatrix.from_dense(
+            np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.9]])
+        )
+        s = SparseVector.basis(3, 0)
+        good = ScriptedStream([0.5, 0.0, 0.0, 0.0, 0.5, 0.99])
+        np.testing.assert_array_equal(
+            _surfer_runs(P, s, 0.85, [1], [good])[0].to_dense(), [1.0, 0.0, 0.0]
+        )
+        with pytest.raises(ValueError, match="column 2 of P is not stochastic"):
+            _surfer_runs(
+                P, s, 0.85, [1, 1],
+                [ScriptedStream([0.5, 0.0, 0.0, 0.0, 0.5, 0.99]),
+                 ScriptedStream([0.5, 0.0, 0.99, 0.0, 0.5])],
+            )
+
+    def test_walk_cap_with_a_finite_run_beside(self):
+        from rsri import WalkCapError
+
+        P, s = self_loop()
+        with pytest.raises(WalkCapError):
+            _surfer_runs(P, s, 0.01, [3, 1], [RandomStream(0), ZeroStream()])
+
+    def test_input_validation(self):
+        P, s = self_loop()
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            _surfer_runs(P, s, 0.85, [4, 0], [RandomStream(0), RandomStream(1)])
+        with pytest.raises(ValueError, match="one walk count per stream"):
+            _surfer_runs(P, s, 0.85, [4, 4], [RandomStream(0)])
 
 
 class TestPushCd:

@@ -1,5 +1,9 @@
+import math
+import runpy
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +24,7 @@ from rsri import (
     expected_average,
     identity,
     matched_walk_count,
+    mc_surfer,
     preservation_split,
     reference_solve,
     rsri,
@@ -31,12 +36,14 @@ from rsri import (
     tail_report,
     tail_sums,
 )
-from rsri.harness import CSV_HEADER, _mc_rmse, _write_atomic
+from rsri.harness import CSV_HEADER, _mc_rmse, _mc_rmse_levels, _write_atomic
 from rsri import harness, solvers
 from rsri.solvers import _iterate_trials, _rsri_trials
 from rsri.svgplot import svg_line_plot
 
 from conftest import sparse_from, three_cycle_problem
+
+HERE = Path(__file__).resolve().parent
 
 
 class TestEstimateRmse:
@@ -100,7 +107,7 @@ def batch_runs(A, b, cfg):
     average, accesses = _rsri_trials(
         A, b, cfg, [spawn_stream(master, k) for k in range(cfg.trials)], cfg.m
     )
-    return average.to_dense().reshape(cfg.trials, A.dim), accesses
+    return average.rows(0, cfg.trials), accesses
 
 
 def assert_batch_is_single_runs(A, b, cfg):
@@ -150,7 +157,7 @@ class TestLockstepTrials:
         master = RandomStream(cfg.seed)
         streams = [spawn_stream(master, k % 2) for k in range(len(levels))]
         average, accesses = _rsri_trials(A, b, cfg, streams, levels)
-        rows = average.to_dense().reshape(len(levels), A.dim)
+        rows = average.rows(0, len(levels))
         for k, m in enumerate(levels):
             lone = rsri(A, b, replace(cfg, m=m), spawn_stream(master, k % 2))
             assert rows[k].tobytes() == lone.estimate.to_dense().tobytes(), f"run {k} differs"
@@ -340,6 +347,32 @@ class TestRunSweep:
                 assert getattr(row, field) == getattr(est, field), (m, field)
             walks = matched_walk_count(est.column_accesses, prob.alpha)
             assert row.mc_rmse == _mc_rmse(prob, walks, cfg.trials, cfg.seed, x)
+
+    def test_mc_rmse_per_trial_equals_per_level_mc_surfer(self):
+        # one surfer loop per trial covers every walk count, yet each
+        # figure is the per-level loop of lone mc_surfer runs bit for bit
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
+        x = reference_solve(prob.A, prob.b)
+        walks, trials, seed = [1, 40, 300, 301], 3, 6
+        got = _mc_rmse_levels(prob, walks, trials, seed, x)
+        master = RandomStream(seed)
+        for level, m in enumerate(walks):
+            total = 0.0
+            for k in range(trials):
+                est = mc_surfer(prob.P, prob.s, prob.alpha, m, spawn_stream(master, 2**31 + k))
+                diff = est.to_dense() - x
+                total += float(np.dot(diff, diff))
+            assert got[level] == math.sqrt(total / trials), m
+
+    def test_demo_sweep_matches_golden_files(self, tmp_path):
+        # demo 03 writes next to itself, so a copy reruns its sweep in
+        # tmp_path; the golden files pin every draw of both columns
+        script = tmp_path / "03_sweep_scaling.py"
+        shutil.copy(HERE.parent / "demos" / script.name, script)
+        runpy.run_path(str(script), run_name="__main__")
+        for name in ("sweep.csv", "sweep.svg"):
+            golden = (HERE / "golden" / f"demo_{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == golden, name
 
     def test_rejects_repeated_levels(self, tmp_path):
         prob = three_cycle_problem()

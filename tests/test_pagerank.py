@@ -88,6 +88,17 @@ class TestLoadEdgeList:
         np.testing.assert_array_equal(edges.src, [id_map[u] for u in labels[:, 0].tolist()])
         np.testing.assert_array_equal(edges.dst, [id_map[v] for v in labels[:, 1].tolist()])
 
+    @pytest.mark.parametrize("low, high", [(-1, 2**63 - 2), (-(2**63), 2**63 - 1)])
+    def test_labels_spanning_the_int64_range(self, tmp_path, low, high):
+        # a span of 2**63 - 1 is the widest that fits int64 once the least
+        # label is subtracted; a wider one wraps the keys around
+        rows = [(high, low), (5, high), (low, 5), (5, 5), (-7, high)]
+        text = "".join(f"{u} {v}\n" for u, v in rows)
+        edges = load_edge_list(write_edges(tmp_path, text))
+        assert list(edges.id_map.items()) == [(high, 0), (low, 1), (5, 2), (-7, 3)]
+        np.testing.assert_array_equal(edges.src, [0, 2, 1, 2, 3])
+        np.testing.assert_array_equal(edges.dst, [1, 0, 2, 2, 0])
+
 
 class TestBuildProblem:
     def test_three_cycle_structure(self):
