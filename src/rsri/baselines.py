@@ -128,6 +128,7 @@ def _surfer_runs(
     alpha: float,
     walks: Sequence[int],
     streams: Sequence[RandomStream],
+    store: Optional[_ColumnStore] = None,
 ) -> list[SparseVector]:
     """One mc_surfer estimate per run, every run's walkers advanced in one loop.
 
@@ -137,8 +138,11 @@ def _surfer_runs(
     for bit.  The walkers of run k are keyed ``k * P.dim + state``: one
     stable ordering of the keys per step hands each run's uniforms out
     by ascending state and then by walker.  Every column is read and
-    checked once per call, when a walker of any run first stands on it.
-    Memory grows with the walkers of all runs together.
+    checked once, when a walker of any run first stands on it; a caller
+    that makes several calls on P may pass one _ColumnStore of P to all
+    of them, so each column is read once across the calls, and the
+    estimates do not change.  Memory grows with the walkers of all runs
+    together.
     """
     _validate_walk_inputs(s, alpha)
     if len(walks) != len(streams):
@@ -162,7 +166,7 @@ def _surfer_runs(
     alive = np.arange(ends[-1])
     pos = np.searchsorted(start_cdf, draws(alive) * start_cdf[-1], side="right")
     states = s.indices[np.minimum(pos, s.indices.size - 1)]  # a stopped walker's stays
-    store = _ColumnStore(P)
+    store = _ColumnStore(P) if store is None else store
 
     step = 0
     while alive.size:

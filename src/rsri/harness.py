@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import _surfer_runs
+from .baselines import _ColumnStore, _surfer_runs
 from .sampling import RandomStream, spawn_stream
 from .solvers import RsriConfig, _rsri_trials, reference_solve
 from .svgplot import svg_line_plot
@@ -114,12 +114,6 @@ def matched_walk_count(column_accesses: int, alpha: float) -> int:
     return max(1, round(column_accesses * (1.0 - alpha) / alpha))
 
 
-def _mc_rmse(problem, walks: int, trials: int, seed: int, oracle: np.ndarray) -> float:
-    """Monte Carlo RMSE of walks-walk surfer estimates over trials; the
-    one-level case of _mc_rmse_levels."""
-    return _mc_rmse_levels(problem, [walks], trials, seed, oracle)[0]
-
-
 def _mc_rmse_levels(
     problem, walks: Sequence[int], trials: int, seed: int, oracle: np.ndarray
 ) -> list[float]:
@@ -130,13 +124,17 @@ def _mc_rmse_levels(
     call advances the walkers of all counts, so each figure equals a loop
     of lone mc_surfer runs bit for bit.  Grouping by trial keeps memory
     to one trial's walkers across all levels: for a doubling m list the
-    counts double too, so that is under twice the largest count's.
+    counts double too, so that is under twice the largest count's.  The
+    trials share one _ColumnStore, so each column of P is read, checked
+    and summed once per sweep.
     """
     master = RandomStream(seed)
+    store = _ColumnStore(problem.P)
     totals = [0.0] * len(walks)
     for k in range(trials):
         streams = [spawn_stream(master, 2**31 + k) for _ in walks]
-        for i, est in enumerate(_surfer_runs(problem.P, problem.s, problem.alpha, walks, streams)):
+        runs = _surfer_runs(problem.P, problem.s, problem.alpha, walks, streams, store)
+        for i, est in enumerate(runs):
             diff = est.to_dense() - oracle
             totals[i] += float(np.dot(diff, diff))
     return [math.sqrt(total / trials) for total in totals]

@@ -68,9 +68,10 @@ class ColumnMatrix:
 
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
         """Flat (rows, coeff * values, per-column counts) for the requested
-        columns, in request order; no dedupe."""
-        picked = [self.column(int(j)) for j in cols]
-        counts = np.fromiter((col.indices.size for col in picked), np.int64, len(picked))
+        columns, in request order; no dedupe: one column(j) call per
+        requested column."""
+        picked = [self.column(j) for j in cols.tolist()]
+        counts = np.array([col.indices.size for col in picked], dtype=np.int64)
         if not picked:
             return np.empty(0, dtype=np.int64), np.empty(0), counts
         rows = np.concatenate([col.indices for col in picked])
@@ -153,7 +154,14 @@ class DenseColumnMatrix(ColumnMatrix):
 
 
 class FunctionColumnMatrix(ColumnMatrix):
-    """Implicit column generator; ``fn(j)`` must be deterministic in j."""
+    """Implicit column oracle for dimensions too large to store a matrix.
+
+    ``fn(j)`` returns column j as a SparseVector of dimension ``dim``
+    (checked).  It must be pure, since the analysis treats the matrix as
+    fixed, and it is called once per column access, with no caching, so
+    its cost is paid on every access: building and validating a short
+    column with the SparseVector constructor takes a few microseconds.
+    """
 
     def __init__(self, dim: int, fn: Callable[[int], SparseVector]):
         self.dim = int(dim)

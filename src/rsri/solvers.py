@@ -145,18 +145,25 @@ def _iterate_trials(
     The iterates of all runs are stacked into one SparseVector of
     dimension ``len(streams) * A.dim``, entry i of run k at index
     ``k * A.dim + i``, so one sparsify, one gather and one coalesce
-    advance every run.  ``levels`` is one sparsity level for every run
-    or one per stream; cfg supplies t and t_min only.  consume
-    receives each averaged iterate in that form.  Returns the exact
-    column accesses per stream.  Every sum sees one run's operands in the
-    order a run on its stream alone would, so each run's iterates do not
-    depend on the others.  Raises NonConvergenceError at the first
-    iterate whose 1-norm times its level is not finite: the iteration
-    diverged, and the next sparsification could no longer be computed.
+    advance every run.  Those keys are int64, so a ValueError rejects
+    more than one run when ``len(streams) * A.dim`` exceeds 2**63.
+    ``levels`` is one sparsity level for every run or one per stream;
+    cfg supplies t and t_min only.  consume receives each averaged
+    iterate in that form.  Returns the exact column accesses per stream.
+    Every sum sees one run's operands in the order a run on its stream
+    alone would, so each run's iterates do not depend on the others.
+    Raises NonConvergenceError at the first iterate whose 1-norm times
+    its level is not finite: the iteration diverged, and the next
+    sparsification could no longer be computed.
     """
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     trials, dim = len(streams), A.dim
+    if trials > 1 and trials * dim > 2**63:
+        raise ValueError(
+            f"{trials} runs at dimension {dim} overflow the stacked int64 keys "
+            f"k * dim + i: need runs * dim <= 2**63"
+        )
     levels = np.broadcast_to(levels, trials)
     m = int(levels.max())
     per_run = None if levels.min() == m else levels

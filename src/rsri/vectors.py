@@ -34,8 +34,12 @@ class SparseVector:
     """Immutable sparse vector: ``dim`` plus sorted nonzero entries.
 
     Invariants enforced at construction: indices strictly increasing and
-    inside ``[0, dim)``, values nonzero.  The backing arrays are marked
-    read-only so instances can be shared without copying.
+    inside ``[0, dim)``, values nonzero (``-0.0`` is a stored zero, NaN
+    is not).  Each is one vectorised check, so validating a short vector
+    costs a few microseconds whatever its ``dim``, and an implicit
+    operator can afford to build one per column access.  The
+    backing arrays are marked read-only so instances can be shared
+    without copying.
     """
 
     dim: int
@@ -52,9 +56,11 @@ class SparseVector:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError("indices out of range")
-            if np.any(np.diff(idx) <= 0):
+            # comparisons, not np.diff, which can wrap around in int64;
+            # np.count_nonzero is the cheapest reduction on short arrays
+            if np.count_nonzero(idx[1:] > idx[:-1]) < idx.size - 1:
                 raise ValueError("indices must be strictly increasing")
-            if np.any(val == 0.0):
+            if np.count_nonzero(val) < val.size:  # -0.0 is a zero, NaN is not
                 raise ValueError("stored zero values are forbidden")
         idx.setflags(write=False)
         val.setflags(write=False)

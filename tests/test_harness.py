@@ -36,7 +36,7 @@ from rsri import (
     tail_report,
     tail_sums,
 )
-from rsri.harness import CSV_HEADER, _mc_rmse, _mc_rmse_levels, _write_atomic
+from rsri.harness import CSV_HEADER, _mc_rmse_levels, _write_atomic
 from rsri import harness, solvers
 from rsri.solvers import _iterate_trials, _rsri_trials
 from rsri.svgplot import svg_line_plot
@@ -346,7 +346,7 @@ class TestRunSweep:
             for field in ("rmse", "bias_norm", "variance_est", "column_accesses"):
                 assert getattr(row, field) == getattr(est, field), (m, field)
             walks = matched_walk_count(est.column_accesses, prob.alpha)
-            assert row.mc_rmse == _mc_rmse(prob, walks, cfg.trials, cfg.seed, x)
+            assert row.mc_rmse == _mc_rmse_levels(prob, [walks], cfg.trials, cfg.seed, x)[0]
 
     def test_mc_rmse_per_trial_equals_per_level_mc_surfer(self):
         # one surfer loop per trial covers every walk count, yet each
@@ -363,6 +363,24 @@ class TestRunSweep:
                 diff = est.to_dense() - x
                 total += float(np.dot(diff, diff))
             assert got[level] == math.sqrt(total / trials), m
+
+    def test_sweep_reads_each_column_of_p_once(self, monkeypatch):
+        # the Monte Carlo trials share one column store, so no trial
+        # reads, checks and sums a column of P that an earlier one read
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
+        x = reference_solve(prob.A, prob.b)
+        read = []
+        gather = prob.P.gather
+
+        def recording_gather(cols, coeffs):
+            read.extend(cols.tolist())
+            return gather(cols, coeffs)
+
+        monkeypatch.setattr(prob.P, "gather", recording_gather)
+        cfg = RsriConfig(m=2, t=60, t_min=20, seed=6, trials=3)
+        run_sweep(prob, cfg, [2, 16], x, log=None)
+        assert len(read) > 1
+        assert len(read) == len(set(read))
 
     def test_demo_sweep_matches_golden_files(self, tmp_path):
         # demo 03 writes next to itself, so a copy reruns its sweep in

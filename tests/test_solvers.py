@@ -21,7 +21,7 @@ from rsri import (
     rsri_functionals,
     spawn_stream,
 )
-from rsri.solvers import _iterate_trials
+from rsri.solvers import _iterate_trials, _rsri_trials
 
 from conftest import random_contraction_system, sparse_from, three_cycle_problem
 
@@ -299,6 +299,62 @@ class TestRsri:
         cfg = RsriConfig(m=np.int64(4), t=np.int32(10), t_min=np.int64(2), seed=np.uint64(7),
                          trials=np.int16(3))
         assert (cfg.m, cfg.t, cfg.t_min, cfg.seed, cfg.trials) == (4, 10, 2, 7, 3)
+
+
+def implicit_prefix_system(dim, prefix=64, offsets=(1, 2, 5, 11), alpha=0.85):
+    """A = I - alpha P on a prefix, P(:, j) uniform over (j + d) mod prefix,
+    and e_j beyond it; b = (1 - alpha) e_0.  The generator builds and
+    validates each column on every call, as an implicit operator would."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    weight = -alpha / offsets.size
+
+    def column(j):
+        if j >= prefix:
+            return SparseVector.basis(dim, j)
+        idx = np.concatenate([[j], (j + offsets) % prefix])
+        val = np.concatenate([[1.0], np.full(offsets.size, weight)])
+        order = np.argsort(idx)
+        return SparseVector(dim, idx[order], val[order])
+
+    return FunctionColumnMatrix(dim, column), SparseVector.basis(dim, 0, 1.0 - alpha)
+
+
+class TestHugeDimensions:
+    def test_lone_rsri_at_the_largest_int64_dimension(self):
+        alpha, prefix = 0.85, 64
+        A, b = implicit_prefix_system(2**63 - 1, prefix, alpha=alpha)
+        cfg = RsriConfig(m=8, t=60, t_min=30, seed=17, trials=1)
+        rep = rsri(A, b, cfg, RandomStream(17))
+        assert rep.estimate.dim == 2**63 - 1
+        assert rep.estimate.indices[-1] < prefix
+        # P is stochastic on the prefix and the sparsifier keeps the 1-norm,
+        # so iterate s holds mass 1 - alpha^(s + 1) exactly
+        s = np.arange(cfg.t_min, cfg.t)
+        mass = 1.0 - float(np.mean(alpha ** (s + 1)))
+        assert abs(float(rep.estimate.values.sum()) - mass) <= 1e-9
+        assert rep.column_accesses <= cfg.m * (cfg.t - 1)
+        again = rsri(A, b, cfg, RandomStream(17))
+        assert again.estimate.indices.tobytes() == rep.estimate.indices.tobytes()
+        assert again.estimate.values.tobytes() == rep.estimate.values.tobytes()
+        assert again.column_accesses == rep.column_accesses
+
+    def test_stacked_keys_that_overflow_int64_raise(self):
+        cfg = RsriConfig(m=8, t=30, t_min=15, seed=1, trials=3)
+        master = RandomStream(cfg.seed)
+        streams = [spawn_stream(master, k) for k in range(3)]
+        A, b = implicit_prefix_system(2**62)
+        with pytest.raises(ValueError, match=f"3 runs at dimension {2**62}"):
+            _rsri_trials(A, b, cfg, streams, cfg.m)
+        # 3 * 2**61 keys fit, and each run is the lone run on its stream
+        A, b = implicit_prefix_system(2**61)
+        average, accesses = _rsri_trials(A, b, cfg, streams, cfg.m)
+        stacked = average.vector()
+        for k in range(3):
+            lone = rsri(A, b, cfg, spawn_stream(master, k))
+            run = (stacked.indices >= k * 2**61) & (stacked.indices < (k + 1) * 2**61)
+            assert np.array_equal(stacked.indices[run] - k * 2**61, lone.estimate.indices)
+            assert stacked.values[run].tobytes() == lone.estimate.values.tobytes()
+            assert accesses[k] == lone.column_accesses
 
 
 class TestDivergenceGuard:

@@ -40,6 +40,33 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(3, np.array([0]), np.array([0.0]))  # stored zero
 
+    @pytest.mark.parametrize(
+        "dim, idx, val, message",
+        [
+            (10, [-1, 3], [1.0, 2.0], "indices out of range"),
+            (10, [0, 5, 2, 9], [1.0, 2.0, 3.0, 4.0], "indices must be strictly increasing"),
+            (3, [0, 2], [1.0, -0.0], "stored zero values are forbidden"),
+            (3, [[0, 1]], [[1.0, 2.0]], "must be 1-D arrays of equal length"),
+            (3, [0, 1], [[1.0, 2.0]], "must be 1-D arrays of equal length"),
+            (3, [0, 1], [1.0], "must be 1-D arrays of equal length"),
+        ],
+    )
+    def test_rejections_name_the_broken_invariant(self, dim, idx, val, message):
+        with pytest.raises(ValueError, match=message):
+            SparseVector(dim, np.array(idx), np.array(val))
+
+    def test_dip_whose_int64_differences_wrap_is_rejected(self):
+        # every np.diff of these indices wraps around to a positive int64
+        idx = np.array([2**62 + 1, -(2**63), -1, 2**62 + 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="indices must be strictly increasing"):
+            SparseVector(2**62 + 3, idx, np.ones(4))
+
+    def test_accepts_nan_and_the_largest_int64_dimension(self):
+        v = SparseVector(3, np.array([1]), np.array([np.nan]))
+        assert np.isnan(v.values[0])
+        top = SparseVector(2**63 - 1, np.array([0, 2**63 - 2]), np.array([1.0, -2.0]))
+        assert top.indices[-1] == 2**63 - 2 and top.nnz == 2
+
     def test_immutable(self):
         v = sparse_from(3, [(0, 1.0)])
         with pytest.raises(ValueError):
