@@ -23,7 +23,7 @@ import numpy as np
 from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
 from .sparsify import sparsify
-from .vectors import SparseVector, coalesce, dot
+from .vectors import MAX_DIM, SparseVector, coalesce, dot
 
 __all__ = [
     "RsriConfig",
@@ -109,6 +109,11 @@ def reference_solve(
 ) -> np.ndarray:
     """Richardson until the 1-norm residual drops below tol (oracle solves).
 
+    One ``apply`` per step; the residual, its magnitudes and x are then
+    updated in place, in the order of r = b - A x, |r|, x += r, so the
+    result is bit-identical to the out-of-place loop.  The first product
+    builds a CSC matrix's ``row_blocks()``, which later solves reuse.
+
     Raises NonConvergenceError after max_iter steps, or as soon as the
     residual overflows, which happens when G = I - A is not a contraction.
     """
@@ -116,20 +121,30 @@ def reference_solve(
         raise ValueError("dimension mismatch between A and b")
     b_dense = b.to_dense()
     x = b_dense.copy()
+    mags = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(max_iter + 1):
-            residual = b_dense - apply(A, x)
-            res_norm = float(np.abs(residual).sum())
+            residual = apply(A, x)
+            np.subtract(b_dense, residual, out=residual)
+            res_norm = float(np.abs(residual, out=mags).sum())
             if res_norm <= tol:
                 return x
             if not math.isfinite(res_norm):
                 raise NonConvergenceError(
                     f"residual diverged to {res_norm} after {step} iterations", res_norm
                 )
-            x = x + residual
+            x += residual
     raise NonConvergenceError(
         f"no convergence within {max_iter} iterations (residual {res_norm:.3e})", res_norm
     )
+
+
+def _check_stack(trials: int, dim: int):
+    if trials > 1 and trials * dim > MAX_DIM:
+        raise ValueError(
+            f"{trials} runs at dimension {dim} overflow the stacked int64 keys "
+            f"k * dim + i: need runs * dim <= 2**63 - 1"
+        )
 
 
 def _iterate_trials(
@@ -146,7 +161,8 @@ def _iterate_trials(
     dimension ``len(streams) * A.dim``, entry i of run k at index
     ``k * A.dim + i``, so one sparsify, one gather and one coalesce
     advance every run.  Those keys are int64, so a ValueError rejects
-    more than one run when ``len(streams) * A.dim`` exceeds 2**63.
+    more than one run when ``len(streams) * A.dim`` exceeds 2**63 - 1,
+    the largest SparseVector dimension.
     ``levels`` is one sparsity level for every run or one per stream;
     cfg supplies t and t_min only.  consume receives each averaged
     iterate in that form.  Returns the exact column accesses per stream.
@@ -159,11 +175,7 @@ def _iterate_trials(
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     trials, dim = len(streams), A.dim
-    if trials > 1 and trials * dim > 2**63:
-        raise ValueError(
-            f"{trials} runs at dimension {dim} overflow the stacked int64 keys "
-            f"k * dim + i: need runs * dim <= 2**63"
-        )
+    _check_stack(trials, dim)
     levels = np.broadcast_to(levels, trials)
     m = int(levels.max())
     per_run = None if levels.min() == m else levels
@@ -281,6 +293,7 @@ def _rsri_trials(
     at most DENSE_ACCUMULATOR_LIMIT and sparse above it; the limit
     chooses the memory layout only.
     """
+    _check_stack(len(streams), A.dim)
     acc = _Accumulator(len(streams), A.dim, len(streams) * A.dim <= DENSE_ACCUMULATOR_LIMIT)
     accesses = _iterate_trials(A, b, cfg, streams, levels, acc.add)
     acc.finish(cfg.t - cfg.t_min)

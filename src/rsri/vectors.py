@@ -22,6 +22,17 @@ __all__ = [
 ]
 
 
+MAX_DIM = 2**63 - 1  # indices are int64
+
+
+def check_dim(dim: int):
+    """Raise ValueError unless 1 <= dim <= 2**63 - 1, the int64 index range."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim must be at most 2**63 - 1 (int64 indices), got {dim}")
+
+
 class VectorNorms(NamedTuple):
     one: float
     two: float
@@ -33,13 +44,13 @@ class VectorNorms(NamedTuple):
 class SparseVector:
     """Immutable sparse vector: ``dim`` plus sorted nonzero entries.
 
-    Invariants enforced at construction: indices strictly increasing and
-    inside ``[0, dim)``, values nonzero (``-0.0`` is a stored zero, NaN
-    is not).  Each is one vectorised check, so validating a short vector
-    costs a few microseconds whatever its ``dim``, and an implicit
-    operator can afford to build one per column access.  The
-    backing arrays are marked read-only so instances can be shared
-    without copying.
+    Invariants enforced at construction: ``1 <= dim <= 2**63 - 1``,
+    indices strictly increasing and inside ``[0, dim)``, values nonzero
+    (``-0.0`` is a stored zero, NaN is not).  Each is one vectorised
+    check, so validating a short vector costs a few microseconds whatever
+    its ``dim``, and an implicit operator can afford to build one per
+    column access.  The backing arrays are marked read-only so instances
+    can be shared without copying.
     """
 
     dim: int
@@ -47,8 +58,7 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        check_dim(self.dim)
         idx = np.asarray(self.indices, dtype=np.int64)
         val = np.asarray(self.values, dtype=np.float64)
         if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:

@@ -70,6 +70,23 @@ class TestColumnBackings:
         with pytest.raises(IndexError):
             identity(3).column(3)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_dimensions_rejected(self, dim):
+        fn = lambda j: SparseVector.basis(3, j)  # noqa: E731
+        for build in (lambda: FunctionColumnMatrix(dim, fn), lambda: CscMatrix(dim, [0], [], [])):
+            with pytest.raises(ValueError, match="dim must be positive"):
+                build()
+        with pytest.raises(ValueError, match="dim must be positive"):
+            DenseColumnMatrix(np.zeros((0, 0)))
+
+    def test_dimensions_beyond_int64_rejected(self):
+        fn = lambda j: SparseVector.basis(2**64, j)  # noqa: E731
+        for dim in (2**63, 2**64):
+            with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+                FunctionColumnMatrix(dim, fn)
+        top = FunctionColumnMatrix(2**63 - 1, lambda j: SparseVector.basis(2**63 - 1, j))
+        assert top.column(2**63 - 2).indices.tolist() == [2**63 - 2]
+
 
 class TestGColumn:
     def test_identity_gives_empty(self):
@@ -222,6 +239,77 @@ class TestApply:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply(identity(3), np.ones(2))
+
+
+def multi_block_matrix(rng, dim=3 * 2**16 + 1000, n_rows=3000):
+    """Rows of 1 to 20 entries, plus some self-loops, in columns drawn from
+    every row block, with signed values spanning 16 orders of magnitude."""
+    row_ids = rng.choice(dim, size=n_rows, replace=False)
+    loops = row_ids[rng.random(n_rows) < 0.3]
+    rows = np.concatenate([np.repeat(row_ids, rng.integers(1, 21, n_rows)), loops])
+    cols = np.concatenate([rng.integers(0, dim, rows.size - loops.size), loops])
+    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-8, 8, rows.size)
+    return CscMatrix.from_triplets(dim, rows, cols, vals)
+
+
+class TestRowBlocks:
+    def test_multi_block_product_sums_each_row_in_column_order(self, np_rng):
+        A = multi_block_matrix(np_rng)
+        assert (A.dim - 1) >> 16 >= 2  # at least three row blocks
+        v = np_rng.standard_normal(A.dim) * 10.0 ** np_rng.uniform(-4, 4, A.dim)
+        v[np_rng.random(A.dim) < 0.5] = 0.0
+        out = apply(A, v)
+        # the generic path adds each row's terms from 0.0 in ascending column order
+        assert np.array_equal(out, apply(FunctionColumnMatrix(A.dim, A.column), v))
+        # the data is sensitive to summation order: reversed rows differ
+        terms = A.data * v[A.column_ids()]
+        reversed_sums = np.bincount(A.indices[::-1], weights=terms[::-1], minlength=A.dim)
+        assert not np.array_equal(out, reversed_sums)
+
+    def test_layout_groups_blocks_and_keeps_column_order_in_rows(self, np_rng):
+        A = multi_block_matrix(np_rng)
+        rows, cols, data = A.row_blocks()
+        assert np.all(np.diff(rows >> 16) >= 0)
+        assert not np.array_equal(rows, A.indices)
+        by_row = np.argsort(rows, kind="stable")
+        r, c = rows[by_row], cols[by_row]
+        assert np.all((np.diff(r) > 0) | (np.diff(c) > 0))
+        same = CscMatrix.from_triplets(A.dim, rows, cols, data)  # a permutation of the entries
+        for a, b in ((same.indptr, A.indptr), (same.indices, A.indices), (same.data, A.data)):
+            assert np.array_equal(a, b)
+
+    def test_layout_is_built_once_read_only_at_24_bytes_per_nonzero(self, np_rng):
+        A = multi_block_matrix(np_rng)
+        v = np_rng.random(A.dim)
+        assert A._row_blocks is None
+        first = apply(A, v)
+        built = A._row_blocks
+        assert built is not None
+        assert np.array_equal(apply(A, v), first)
+        assert A._row_blocks is built
+        # no column-id cache is left behind: 24 B per nonzero, not 32
+        assert A._col_ids is None
+        assert sum(arr.nbytes for arr in built) == 24 * A.data.size
+        for view, owned in zip(A.row_blocks(), built):
+            assert np.shares_memory(view, owned)
+            assert not np.shares_memory(view, A.indices) and not np.shares_memory(view, A.data)
+            with pytest.raises(ValueError):
+                view[0] = 0
+        for arr in (A.indptr, A.indices, A.data):
+            assert not arr.flags.writeable
+
+    def test_one_block_matrix_shares_its_csc_arrays(self, np_rng):
+        A = CscMatrix.from_dense(np_rng.random((50, 50)) * (np_rng.random((50, 50)) < 0.2))
+        apply(A, np_rng.random(50))
+        rows, cols, data = A._row_blocks
+        assert rows is A.indices and cols is A.column_ids() and data is A.data
+        v = np_rng.random(2**16 + 1)
+        edge = identity(2**16)
+        np.testing.assert_array_equal(apply(edge, v[:-1]), v[:-1])
+        assert edge._row_blocks[0] is edge.indices
+        past = identity(2**16 + 1)
+        np.testing.assert_array_equal(apply(past, v), v)
+        assert past._row_blocks[0] is not past.indices
 
 
 IDENTITY_MM = """%%MatrixMarket matrix coordinate real general

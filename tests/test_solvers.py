@@ -91,6 +91,31 @@ class TestReferenceSolve:
         oracle = np.linalg.solve(np.eye(12) - G, b_dense)
         np.testing.assert_allclose(x, oracle, atol=1e-11)
 
+    def test_multi_block_solve_equals_csc_order_richardson(self, monkeypatch):
+        from rsri import apply, build_problem, solvers, synth_bounded_outdegree
+
+        prob = build_problem(synth_bounded_outdegree(70_000, 3, seed=13), 0.85, source=0)
+        A, b = prob.A, prob.b
+        assert A.dim > 2**16  # two row blocks
+        # x <- x + (b - A x) with each product summed in CSC order
+        ids = np.repeat(np.arange(A.dim), np.diff(A.indptr))
+        b_dense = b.to_dense()
+        x, steps = b_dense.copy(), 1
+        while True:
+            residual = b_dense - np.bincount(A.indices, weights=A.data * x[ids], minlength=A.dim)
+            if float(np.abs(residual).sum()) <= 1e-12:
+                break
+            x, steps = x + residual, steps + 1
+        calls = []
+
+        def counting_apply(A, x):
+            calls.append(1)
+            return apply(A, x)
+
+        monkeypatch.setattr(solvers, "apply", counting_apply)
+        assert np.array_equal(reference_solve(A, b), x)
+        assert len(calls) == steps
+
     def test_nonconvergence_reports_residual(self):
         # G is a permutation: 1-norm exactly 1, iterates oscillate forever
         A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 1.0], [1.0, 0.0]]))

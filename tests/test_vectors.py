@@ -67,6 +67,16 @@ class TestSparseVector:
         top = SparseVector(2**63 - 1, np.array([0, 2**63 - 2]), np.array([1.0, -2.0]))
         assert top.indices[-1] == 2**63 - 2 and top.nnz == 2
 
+    @pytest.mark.parametrize("dim, message", [
+        (0, "dim must be positive"),
+        (-1, "dim must be positive"),
+        (2**63, r"at most 2\*\*63 - 1"),
+        (2**64, r"at most 2\*\*63 - 1"),
+    ])
+    def test_dimensions_outside_int64_rejected(self, dim, message):
+        with pytest.raises(ValueError, match=message):
+            SparseVector(dim, np.array([0]), np.array([1.0]))
+
     def test_immutable(self):
         v = sparse_from(3, [(0, 1.0)])
         with pytest.raises(ValueError):
