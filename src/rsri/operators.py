@@ -87,24 +87,38 @@ ROW_BLOCK_BITS = 16  # a row block's slice of a dense product is 2**16 doubles, 
 
 
 class CscMatrix(ColumnMatrix):
-    """Compressed sparse columns, rows sorted within each column.
+    """Compressed sparse columns, rows strictly increasing within each column.
 
-    ``apply`` reads the entries through ``row_blocks()``, a copy grouped
-    into blocks of 2**16 rows that is built on the first product and kept
-    (24 bytes per nonzero); a matrix of one block needs no copy.
+    The constructor checks the arrays, so every ``column(j)`` is a valid
+    SparseVector.  ``apply`` reads a copy of the entries stable-sorted by
+    row block, ``row >> ROW_BLOCK_BITS``, which the first product builds
+    and keeps (24 bytes per nonzero); the copy of a one-block matrix is in
+    CSC order.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
         check_dim(dim)
         self.dim = int(dim)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = ptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = idx = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        if self.indptr.shape != (dim + 1,):
+        if ptr.shape != (dim + 1,):
             raise ValueError("indptr must have length dim + 1")
-        counts = np.diff(self.indptr)
-        self.q_max = int(counts.max()) if dim else 0
-        self._col_ids = None
+        if ptr[0] != 0 or np.count_nonzero(ptr[1:] < ptr[:-1]):
+            raise ValueError("indptr must start at 0 and never decrease")
+        if idx.shape != (ptr[-1],) or self.data.shape != (ptr[-1],):
+            raise ValueError("indices and data must be 1-D arrays of indptr[-1] entries")
+        if idx.size and (idx.min() < 0 or idx.max() >= dim):
+            raise ValueError("row indices out of range")
+        # down[k]: entry k is not above entry k - 1, allowed where a column starts
+        down = np.zeros(idx.size + 1, dtype=bool)
+        np.less_equal(idx[1:], idx[:-1], out=down[1:-1])
+        down[ptr] = False
+        if np.count_nonzero(down):
+            raise ValueError("rows must be strictly increasing within each column")
+        if not self.data.all():  # -0.0 is a zero, NaN is not
+            raise ValueError("stored zero values are forbidden")
+        self.q_max = int(np.diff(ptr).max())
         self._row_blocks = None
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
@@ -130,45 +144,24 @@ class CscMatrix(ColumnMatrix):
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return SparseVector._make(self.dim, self.indices[lo:hi], self.data[lo:hi])
 
-    def _column_ids(self) -> np.ndarray:
-        if self._col_ids is not None:
-            return self._col_ids
+    def column_ids(self) -> np.ndarray:
+        """Column of each stored entry, in CSC order."""
         return np.repeat(np.arange(self.dim), np.diff(self.indptr))
 
-    def column_ids(self) -> np.ndarray:
-        """Column of each stored entry, in CSC order (cached)."""
-        if self._col_ids is None:
-            self._col_ids = self._column_ids()
-        return self._col_ids
-
     def _blocked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the copies stay writable: np.take and np.bincount copy a read-only
-        # index array on every call
+        """(rows, columns, data) of the entries stable-sorted from CSC order
+        by row block, so within each row they stay in ascending column
+        order.  Built on the first call and kept; the copies stay writable,
+        since np.take and np.bincount copy a read-only index array on every
+        call."""
         if self._row_blocks is None:
-            if self.dim <= 1 << ROW_BLOCK_BITS:
-                self._row_blocks = (self.indices, self.column_ids(), self.data)
-            else:
-                # a key of at most 16 bits is radix-sorted
-                key_type = np.min_scalar_type((self.dim - 1) >> ROW_BLOCK_BITS)
-                order = np.argsort((self.indices >> ROW_BLOCK_BITS).astype(key_type), kind="stable")
-                self._row_blocks = tuple(
-                    arr.take(order) for arr in (self.indices, self._column_ids(), self.data)
-                )
+            # a key of at most 16 bits is radix-sorted
+            key_type = np.min_scalar_type((self.dim - 1) >> ROW_BLOCK_BITS)
+            order = np.argsort((self.indices >> ROW_BLOCK_BITS).astype(key_type), kind="stable")
+            self._row_blocks = tuple(
+                arr.take(order) for arr in (self.indices, self.column_ids(), self.data)
+            )
         return self._row_blocks
-
-    def row_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (rows, columns, data) of the entries, grouped by row block.
-
-        A block is 2**16 rows.  The entries are stable-sorted from CSC
-        order by ``row >> 16``, so within each row they stay in ascending
-        column order.  Built once, on first use, and kept: 24 bytes per
-        nonzero, with no column-id cache left behind.  A matrix of one
-        block uses its own ``indices``, ``column_ids()`` and ``data``.
-        """
-        views = tuple(arr.view() for arr in self._blocked())
-        for view in views:
-            view.setflags(write=False)
-        return views
 
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
         """Flat (rows, coeff * data, per-column counts) for the requested
@@ -230,14 +223,22 @@ def g_column(A: ColumnMatrix, j: int) -> SparseVector:
     return combine(1.0, SparseVector.basis(A.dim, j), -1.0, A.column(j))
 
 
-def _abs_g_entries(A: ColumnMatrix):
-    """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|, one read per column."""
+def _entries(A: ColumnMatrix):
+    """Flat (rows, column ids, values) of every stored entry, in column
+    order: one gather of all the columns."""
     ids = np.arange(A.dim)
     rows, vals, counts = A.gather(ids, np.ones(A.dim))
+    return rows, np.repeat(ids, counts), vals
+
+
+def _abs_g_entries(A: ColumnMatrix):
+    """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|."""
+    ids = np.arange(A.dim)
+    rows, cols, vals = _entries(A)
     G = CscMatrix.from_triplets(  # sums the diagonal, drops exact zeros, sorts rows
         A.dim,
         np.concatenate([ids, rows]),
-        np.concatenate([ids, np.repeat(ids, counts)]),
+        np.concatenate([ids, cols]),
         np.concatenate([np.ones(A.dim), -vals]),
     )
     return G.indices, G.column_ids(), np.abs(G.data)
@@ -293,8 +294,8 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
     """Exact matrix-vector product via column combination.
 
     Sparse backings add each row's terms from 0.0 in ascending column
-    order.  A CSC matrix is read through its ``row_blocks()``, which the
-    first product builds, so the scatter into the output stays inside one
+    order.  A CSC matrix is read in its row-blocked copy, which the first
+    product builds, so the scatter into the output stays inside one
     cache-sized block at a time and the sums keep the CSC-order bits.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -313,11 +314,10 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
 
 
 def densify(A: ColumnMatrix) -> np.ndarray:
-    """Materialize the matrix column by column (small problems only)."""
+    """Materialize the matrix (small problems only)."""
+    rows, cols, vals = _entries(A)
     out = np.zeros((A.dim, A.dim))
-    for j in range(A.dim):
-        col = A.column(j)
-        out[col.indices, j] = col.values
+    out[rows, cols] = vals
     return out
 
 
@@ -405,12 +405,10 @@ def load_matrix_market(path) -> CscMatrix:
 
 def save_matrix_market(A: ColumnMatrix, path):
     """Write any column matrix as coordinate real general, 1-based."""
-    out = ["%%MatrixMarket matrix coordinate real general"]
-    entries = []
-    for j in range(A.dim):
-        col = A.column(j)
-        for i, v in zip(col.indices, col.values):
-            entries.append(f"{i + 1} {j + 1} {v:.17g}")
-    out.append(f"{A.dim} {A.dim} {len(entries)}")
-    out.extend(entries)
+    rows, cols, vals = _entries(A)
+    out = [
+        "%%MatrixMarket matrix coordinate real general",
+        f"{A.dim} {A.dim} {vals.size}",
+        *("%d %d %.17g" % e for e in zip((rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())),
+    ]
     Path(path).write_text("\n".join(out) + "\n")

@@ -112,7 +112,7 @@ def reference_solve(
     One ``apply`` per step; the residual, its magnitudes and x are then
     updated in place, in the order of r = b - A x, |r|, x += r, so the
     result is bit-identical to the out-of-place loop.  The first product
-    builds a CSC matrix's ``row_blocks()``, which later solves reuse.
+    builds a CSC matrix's row-blocked copy, which later solves reuse.
 
     Raises NonConvergenceError after max_iter steps, or as soon as the
     residual overflows, which happens when G = I - A is not a contraction.

@@ -79,6 +79,36 @@ class TestColumnBackings:
         with pytest.raises(ValueError, match="dim must be positive"):
             DenseColumnMatrix(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize(
+        "dim, indptr, indices, data, match",
+        [
+            pytest.param(2, [0, 1, 2], [0, 5], [1.0, 1.0], "out of range", id="row-past-dim"),
+            pytest.param(2, [0, 1, 2], [-1, 0], [1.0, 1.0], "out of range", id="negative-row"),
+            pytest.param(3, [0, 2, 2, 2], [2, 0], [1.0, 1.0], "strictly", id="unsorted-rows"),
+            pytest.param(3, [0, 0, 2, 2], [2, 0], [1.0, 1.0], "strictly", id="after-empty-column"),
+            pytest.param(3, [0, 2, 2, 2], [1, 1], [1.0, 1.0], "strictly", id="repeated-row"),
+            pytest.param(2, [0, 1, 1], [0, 1], [1.0, 1.0], r"indptr\[-1\]", id="indptr-end"),
+            pytest.param(2, [0, 1, 2], [0, 1], [1.0], r"indptr\[-1\]", id="short-data"),
+            pytest.param(1, [0, 1], [[0]], [1.0], r"indptr\[-1\]", id="2-d-indices"),
+            pytest.param(2, [1, 1, 2], [0, 1], [1.0, 1.0], "start at 0", id="indptr-start"),
+            pytest.param(2, [0, 2, 1], [0, 1], [1.0, 1.0], "never decrease", id="indptr-down"),
+            pytest.param(2, [0, 1, 2], [0, 1], [1.0, 0.0], "stored zero", id="zero"),
+            pytest.param(2, [0, 1, 2], [0, 1], [-0.0, 1.0], "stored zero", id="negative-zero"),
+        ],
+    )
+    def test_invalid_csc_arrays_rejected(self, dim, indptr, indices, data, match):
+        with pytest.raises(ValueError, match=match):
+            CscMatrix(dim, indptr, indices, data)
+
+    def test_valid_csc_columns_are_valid_vectors(self):
+        # rows step down only where a column starts; empty columns anywhere
+        A = CscMatrix(4, [0, 0, 2, 2, 4], [1, 3, 0, 2], [1.0, -2.0, np.nan, 4.0])
+        for j in range(A.dim):
+            col = A.column(j)
+            SparseVector(col.dim, col.indices, col.values)
+        assert A.q_max == 2
+        assert CscMatrix(1, [0, 0], [], []).q_max == 0
+
     def test_dimensions_beyond_int64_rejected(self):
         fn = lambda j: SparseVector.basis(2**64, j)  # noqa: E731
         for dim in (2**63, 2**64):
@@ -268,7 +298,7 @@ class TestRowBlocks:
 
     def test_layout_groups_blocks_and_keeps_column_order_in_rows(self, np_rng):
         A = multi_block_matrix(np_rng)
-        rows, cols, data = A.row_blocks()
+        rows, cols, data = A._blocked()
         assert np.all(np.diff(rows >> 16) >= 0)
         assert not np.array_equal(rows, A.indices)
         by_row = np.argsort(rows, kind="stable")
@@ -287,29 +317,47 @@ class TestRowBlocks:
         assert built is not None
         assert np.array_equal(apply(A, v), first)
         assert A._row_blocks is built
-        # no column-id cache is left behind: 24 B per nonzero, not 32
-        assert A._col_ids is None
         assert sum(arr.nbytes for arr in built) == 24 * A.data.size
-        for view, owned in zip(A.row_blocks(), built):
-            assert np.shares_memory(view, owned)
-            assert not np.shares_memory(view, A.indices) and not np.shares_memory(view, A.data)
-            with pytest.raises(ValueError):
-                view[0] = 0
+        for owned in built:
+            assert not np.shares_memory(owned, A.indices) and not np.shares_memory(owned, A.data)
         for arr in (A.indptr, A.indices, A.data):
             assert not arr.flags.writeable
 
-    def test_one_block_matrix_shares_its_csc_arrays(self, np_rng):
+    def test_one_block_matrix_copies_in_csc_order(self, np_rng):
         A = CscMatrix.from_dense(np_rng.random((50, 50)) * (np_rng.random((50, 50)) < 0.2))
         apply(A, np_rng.random(50))
         rows, cols, data = A._row_blocks
-        assert rows is A.indices and cols is A.column_ids() and data is A.data
+        assert np.array_equal(rows, A.indices) and not np.shares_memory(rows, A.indices)
+        assert np.array_equal(cols, A.column_ids()) and np.array_equal(data, A.data)
         v = np_rng.random(2**16 + 1)
-        edge = identity(2**16)
-        np.testing.assert_array_equal(apply(edge, v[:-1]), v[:-1])
-        assert edge._row_blocks[0] is edge.indices
-        past = identity(2**16 + 1)
-        np.testing.assert_array_equal(apply(past, v), v)
-        assert past._row_blocks[0] is not past.indices
+        for dim in (2**16, 2**16 + 1):  # one block, then two
+            eye = identity(dim)
+            np.testing.assert_array_equal(apply(eye, v[:dim]), v[:dim])
+            assert np.array_equal(eye._row_blocks[0], eye.indices)
+
+
+class TestWholeMatrixReads:
+    DENSE = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 3.0], [-2.5, 0.0, 1.0 / 3.0]])
+    TEXT = (
+        "%%MatrixMarket matrix coordinate real general\n3 3 4\n"
+        "1 1 0.10000000000000001\n3 1 -2.5\n2 3 3\n3 3 0.33333333333333331\n"
+    )
+
+    def backings(self):
+        A = CscMatrix.from_dense(self.DENSE)
+        return A, DenseColumnMatrix(self.DENSE), FunctionColumnMatrix(A.dim, A.column)
+
+    def test_save_writes_exact_text_for_every_backing(self, tmp_path):
+        for k, A in enumerate(self.backings()):
+            save_matrix_market(A, tmp_path / f"{k}.mtx")
+            assert (tmp_path / f"{k}.mtx").read_text() == self.TEXT, type(A).__name__
+        back = load_matrix_market(tmp_path / "0.mtx")
+        assert np.array_equal(densify(back), self.DENSE)
+
+    def test_densify_agrees_across_backings(self):
+        for A in self.backings():
+            out = densify(A)
+            assert out.dtype == np.float64 and np.array_equal(out, self.DENSE)
 
 
 IDENTITY_MM = """%%MatrixMarket matrix coordinate real general

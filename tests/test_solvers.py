@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -218,6 +219,25 @@ class TestRsri:
         b = rsri(generic, prob.b, cfg, RandomStream(6))
         np.testing.assert_array_equal(a.estimate.indices, b.estimate.indices)
         np.testing.assert_array_equal(a.estimate.values, b.estimate.values)
+
+    LONE_RUNS = {  # m: (column accesses, SHA-256 of the estimate)
+        8: (7980, "64174ecd0ee803399ca2d37440a5a63f09c1df648c251043f7bc2eeebc86b34e"),
+        64: (63656, "834879737a2d81dcef19b3ba71ecd3b5fb3d4a724c497dd36c64377451d0ec9c"),
+        1024: (1014062, "f7d5643a99993f28951f2069792762def94fcc677cc043e90dadff7f851bb52f"),
+    }
+
+    @pytest.mark.parametrize("m", sorted(LONE_RUNS))
+    def test_lone_run_draws_are_pinned(self, m):
+        # SHA-256 of the estimate's little-endian int64 indices, then its
+        # float64 values: every draw of a lone run on the acceptance sweep's
+        # graph, so a change to the sampler, the split or the update shows
+        from rsri import build_problem, synth_bounded_outdegree
+
+        prob = build_problem(synth_bounded_outdegree(3000, 3, seed=88), 0.85, source=0)
+        rep = rsri(prob.A, prob.b, RsriConfig(m=m, t=1000, t_min=500), RandomStream(5))
+        est = rep.estimate
+        raw = est.indices.astype("<i8").tobytes() + est.values.astype("<f8").tobytes()
+        assert (rep.column_accesses, hashlib.sha256(raw).hexdigest()) == self.LONE_RUNS[m]
 
     def test_sparse_accumulator_matches_dense(self, monkeypatch):
         from rsri import build_problem, solvers, synth_bounded_outdegree
