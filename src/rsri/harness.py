@@ -239,11 +239,7 @@ def sweep_csv_text(rows: Sequence[SweepRow], cfg: RsriConfig, alpha: float) -> s
 
 def tail_report(x) -> str:
     """CSV 'i,tail' of the decreasing-rearrangement tails of x."""
-    if isinstance(x, SparseVector):
-        vec = x
-    else:
-        vec = SparseVector.from_dense(np.asarray(x, dtype=np.float64))
-    tails = tail_sums(vec)
+    tails = tail_sums(x if isinstance(x, SparseVector) else SparseVector.from_dense(x))
     lines = ["i,tail"]
     lines.extend(f"{i},{_fmt(t)}" for i, t in enumerate(tails))
     return "\n".join(lines) + "\n"

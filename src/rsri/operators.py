@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .vectors import SparseVector, check_dim, coalesce, combine
+from .vectors import SparseVector, check_dim, coalesce, combine, index_array
 
 __all__ = [
     "ColumnMatrix",
@@ -90,17 +90,17 @@ class CscMatrix(ColumnMatrix):
     """Compressed sparse columns, rows strictly increasing within each column.
 
     The constructor checks the arrays, so every ``column(j)`` is a valid
-    SparseVector.  ``apply`` reads a copy of the entries stable-sorted by
-    row block, ``row >> ROW_BLOCK_BITS``, which the first product builds
-    and keeps (24 bytes per nonzero); the copy of a one-block matrix is in
-    CSC order.
+    SparseVector; ``indptr`` and ``indices`` need an integer dtype.
+    ``apply`` reads a copy of the entries stable-sorted by row block,
+    ``row >> ROW_BLOCK_BITS``, which the first product builds and keeps
+    (24 bytes per nonzero); the copy of a one-block matrix is in CSC order.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
         check_dim(dim)
         self.dim = int(dim)
-        self.indptr = ptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = idx = np.asarray(indices, dtype=np.int64)
+        self.indptr = ptr = index_array(indptr, "indptr")
+        self.indices = idx = index_array(indices, "indices")
         self.data = np.asarray(data, dtype=np.float64)
         if ptr.shape != (dim + 1,):
             raise ValueError("indptr must have length dim + 1")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CscMatrix, _read_table
-from .vectors import SparseVector, _stable_order, coalesce
+from .vectors import SparseVector, _stable_order, coalesce, index_array
 
 __all__ = [
     "EdgeList",
@@ -30,7 +30,7 @@ STOCHASTIC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Directed edges over dense indices plus the original-label map."""
+    """Directed edges over dense integer indices plus the original-label map."""
 
     node_count: int
     src: np.ndarray
@@ -38,8 +38,8 @@ class EdgeList:
     id_map: dict[int, int]
 
     def __post_init__(self):
-        src = np.asarray(self.src, dtype=np.int64)
-        dst = np.asarray(self.dst, dtype=np.int64)
+        src = index_array(self.src, "src")
+        dst = index_array(self.dst, "dst")
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
         if src.size and (src.min() < 0 or dst.min() < 0
@@ -117,11 +117,10 @@ def _transition_matrix(edges: EdgeList, source: int) -> CscMatrix:
     dangling = np.flatnonzero(out_deg == 0)
     cols = np.concatenate([src, dangling])
     rows = np.concatenate([dst, np.full(dangling.size, source, dtype=np.int64)])
-    with np.errstate(divide="ignore"):
-        weights = np.where(out_deg > 0, 1.0 / out_deg, 1.0)
-    vals = np.concatenate([weights[src], np.ones(dangling.size)])
+    vals = np.concatenate([1.0 / out_deg[src], np.ones(dangling.size)])
     P = CscMatrix.from_triplets(n, rows, cols, vals)
-    sums = np.bincount(P.column_ids(), weights=P.data, minlength=n)
+    # the triplets are distinct, so these are P's column sums
+    sums = np.bincount(cols, weights=vals, minlength=n)
     if np.any(np.abs(sums - 1.0) > STOCHASTIC_TOL):
         raise ValueError("transition matrix failed the column-stochasticity check")
     return P

@@ -13,7 +13,6 @@ experiment harness runs all its trials at once.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from .operators import ColumnMatrix, apply
 from .sampling import RandomStream
 from .sparsify import sparsify
-from .vectors import MAX_DIM, SparseVector, coalesce, dot
+from .vectors import MAX_DIM, SparseVector, check_int, coalesce, dot
 
 __all__ = [
     "RsriConfig",
@@ -52,13 +51,7 @@ class RsriConfig:
 
     def __post_init__(self):
         for name in ("m", "t", "t_min", "seed", "trials"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            check_int(getattr(self, name), name)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.t < 1:

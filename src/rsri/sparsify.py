@@ -1,12 +1,13 @@
 """Unbiased random sparsification with exact preservation of large entries.
 
 Everything is read off the decreasing rearrangement of |v| and its tails
-T(k), the mass left after the k largest magnitudes.  The split admits
-the k-th largest magnitude into the exact set D while
-|v|_(k) (m - k) >= T(k); with q the first failure, the rest is kept or
-dropped by pivotal sampling with probabilities (m - q) |v_i| / T(q),
-then rescaled so the output is unbiased.  The output has at most m
-nonzeros and the same 1-norm as the input on every single draw.
+T(k), the mass left after the k largest magnitudes (``tail_sums``).  The
+k-th largest magnitude enters the exact set D while |v|_(k) (m - k) >=
+T(k); with q the first failure, D is the magnitudes above |v|_(q-1) and
+then the first ties at it by position.  The rest is kept or dropped by
+pivotal sampling with probabilities (m - q) |v_i| / T(q), then rescaled
+so the output is unbiased, with at most m nonzeros and the 1-norm of
+the input on every single draw.
 
 Both the split and the sparsifier also take many vectors stacked into
 one, each on its own stream and at its own level if need be, which is
@@ -15,14 +16,13 @@ results equal separate calls bit for bit.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .sampling import ProbabilityVector, RandomStream, _pivotal_positions, _pivotal_rows
-from .vectors import SparseVector, tail_sums
+from .vectors import SparseVector, _rearrangement, check_int, tail_sums
 
 __all__ = [
     "PreservationSplit",
@@ -37,7 +37,7 @@ class PreservationSplit:
     """Exact-preservation set plus inclusion probabilities for the rest.
 
     ``exact_indices`` hold the q largest magnitudes (ties resolved toward
-    lower index); every residual probability is (m - q) |v_i| / T(q),
+    lower position); every residual probability is (m - q) |v_i| / T(q),
     with T(q) the tail of the same rearrangement that decided admission,
     and is strictly below one except in the degenerate all-admitted case.
     The ``*_positions`` are the storage positions of those indices in v.
@@ -85,12 +85,7 @@ def _levels(m, levels, rows: int):
     """The level of every vector: m as an int, or one int per vector
     where ``levels`` sets them apart.  A bool or non-integer m raises
     TypeError."""
-    try:
-        if isinstance(m, bool):
-            raise TypeError
-        m = operator.index(m)
-    except TypeError:
-        raise TypeError(f"sparsity level m must be an integer, got {m!r}") from None
+    m = check_int(m, "sparsity level m")
     if m < 1:
         raise ValueError(f"sparsity level m must be >= 1, got {m}")
     if levels is None:
@@ -106,23 +101,24 @@ def _levels(m, levels, rows: int):
 
 def _split_one(v: SparseVector, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact-set mask and residual probabilities per entry of one vector."""
-    exact = np.ones(v.nnz, dtype=bool)
-    probs = np.zeros(v.nnz)
     if v.nnz <= m:
-        return exact, probs
+        return np.ones(v.nnz, dtype=bool), np.zeros(v.nnz)
     a = np.abs(v.values)
-    order = np.argsort(-a, kind="stable")  # indices are sorted: ties go to the lower one
-    tails = np.cumsum(a[order][::-1])[::-1]  # T(k) at k, summed from the smallest up
+    dec, tails = _rearrangement(a.copy())
     # admit the k-th largest while |v|_(k) (m - k) >= T(k); q is the first failure
-    admit = a[order[:m]] * (m - np.arange(m)) >= tails[:m]
-    failures = np.flatnonzero(~admit)
-    q = int(failures[0]) if failures.size else m
-    rest = order[q:]
-    exact[rest] = False
+    admit = dec[:m] * (m - np.arange(m)) >= tails[:m]
+    q = int(admit.argmin())
+    q = m if admit[q] else q
+    # D: the magnitudes above |v|_(q-1), then the first ties at it by position
+    floor = dec[q - 1] if q else np.inf
+    exact = a > floor
+    tie = (a == floor).nonzero()[0]
+    exact[tie[: q - np.count_nonzero(exact)]] = True
     # q = m or T(q) = 0 is degenerate: float drift admitted a full set, and
     # the residual keeps probability zero.  The clamp guards float roundup.
+    probs = np.zeros(v.nnz)
     if q < m and tails[q] > 0.0:
-        probs[rest] = np.minimum((m - q) * a[rest] / tails[q], np.nextafter(1.0, 0.0))
+        probs[~exact] = np.minimum((m - q) * a[~exact] / tails[q], np.nextafter(1.0, 0.0))
     return exact, probs
 
 
@@ -130,9 +126,9 @@ def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarra
     """:func:`_split_one` of every stacked vector at once, vector k at
     level ``m`` or ``m[k]``.
 
-    Every float reduction runs row-wise over a zero-padded (rows, width)
-    array, where the padding adds exact zeros, so each vector sees its own
-    operands in the order the one-vector split does.
+    The same rule, over a zero-padded (rows, width) array of magnitudes
+    whose padding adds exact zeros, so each vector sees its own operands
+    in the order the one-vector split does.
     """
     row = v.indices // (v.dim // rows)
     counts = np.bincount(row, minlength=rows)
@@ -146,14 +142,9 @@ def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarra
     r = (big.cumsum() - 1)[row[sub]]
     n = counts[big]
     width = int(n.max())
-    # the tails only need the magnitudes in increasing order, whatever the
-    # order of ties: a row-wise sort puts the padding zeros first, and the
-    # cumulative sum from there is T(k) at column width - 1 - k
     mags = np.zeros((n.size, width))
     mags.ravel()[r * width + np.arange(sub.size) - (n.cumsum() - n)[r]] = a
-    mags.sort(axis=1)
-    dec = mags[:, ::-1]  # |v|_(k) at column k
-    tails = mags.cumsum(axis=1)[:, ::-1]
+    dec, tails = _rearrangement(mags)
     if isinstance(m, np.ndarray):
         m = m[big]
         k = np.arange(m.max())
@@ -173,8 +164,7 @@ def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarra
     exact[sub[admitted]] = True
     # degenerate vectors keep probability zero, as in _split_one
     res = (~admitted & ((q < m) & (t_q > 0.0))[r]).nonzero()[0]
-    share = (m - q)[r[res]]
-    probs[sub[res]] = np.minimum(share * a[res] / t_q[r[res]], np.nextafter(1.0, 0.0))
+    probs[sub[res]] = np.minimum((m - q)[r[res]] * a[res] / t_q[r[res]], np.nextafter(1.0, 0.0))
     return exact, probs
 
 
@@ -221,8 +211,7 @@ def sparsify_l2_bound(v: SparseVector, m: int) -> float:
 
     A bound beyond the float range reads inf.
     """
-    if m < 1:
-        raise ValueError(f"sparsity level m must be >= 1, got {m}")
+    m = _levels(m, None, 1)
     i = np.arange(min(m - 1, v.nnz) + 1)
     with np.errstate(over="ignore"):
         return float(np.min(tail_sums(v)[i] ** 2 / (m - i)))

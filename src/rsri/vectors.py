@@ -6,6 +6,7 @@ arrays; no wrapper type is needed for them.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -33,6 +34,21 @@ def check_dim(dim: int):
         raise ValueError(f"dim must be at most 2**63 - 1 (int64 indices), got {dim}")
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as an int; a bool or a value without ``__index__`` raises TypeError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def index_array(arr, name: str) -> np.ndarray:
+    """``arr`` as int64; a non-empty array of a non-integer dtype raises TypeError."""
+    arr = np.asarray(arr)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must have an integer dtype, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class VectorNorms(NamedTuple):
     one: float
     two: float
@@ -45,12 +61,12 @@ class SparseVector:
     """Immutable sparse vector: ``dim`` plus sorted nonzero entries.
 
     Invariants enforced at construction: ``1 <= dim <= 2**63 - 1``,
-    indices strictly increasing and inside ``[0, dim)``, values nonzero
-    (``-0.0`` is a stored zero, NaN is not).  Each is one vectorised
-    check, so validating a short vector costs a few microseconds whatever
-    its ``dim``, and an implicit operator can afford to build one per
-    column access.  The backing arrays are marked read-only so instances
-    can be shared without copying.
+    indices of an integer dtype, strictly increasing and inside
+    ``[0, dim)``, values nonzero (``-0.0`` is a stored zero, NaN is not).
+    Each is one vectorised check, so validating a short vector costs a
+    few microseconds whatever its ``dim``, and an implicit operator can
+    afford to build one per column access.  The backing arrays are marked
+    read-only so instances can be shared without copying.
     """
 
     dim: int
@@ -59,7 +75,7 @@ class SparseVector:
 
     def __post_init__(self):
         check_dim(self.dim)
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = index_array(self.indices, "indices")
         val = np.asarray(self.values, dtype=np.float64)
         if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
             raise ValueError("indices and values must be 1-D arrays of equal length")
@@ -184,13 +200,19 @@ def tail_sums(v: SparseVector) -> np.ndarray:
     """Tails of the decreasing rearrangement of ``|v|``.
 
     Returns T of length nnz + 1 with T[i] the sum of all but the i
-    largest magnitudes, so T[0] is the 1-norm and T[nnz] is zero.  Each
-    tail is summed from the smallest magnitude up, so T is nonincreasing
-    and does not depend on how ties are ordered.
+    largest magnitudes, so T[0] is the 1-norm and T[nnz] is zero: the
+    tails of :func:`_rearrangement`, which the sparsifier's split reads.
     """
-    tails = np.zeros(v.nnz + 1)
-    tails[:-1] = np.cumsum(np.sort(np.abs(v.values)))[::-1]
-    return tails
+    return np.append(_rearrangement(np.abs(v.values))[1], 0.0)
+
+
+def _rearrangement(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dec, tails)`` along the last axis of ``mags``, which is sorted in
+    place: the k-th largest magnitude and T(k), the sum of all but the k
+    largest, at position k.  Each tail is summed from the smallest up, so
+    its bits depend neither on how ties are ordered nor on padding zeros."""
+    mags.sort(axis=-1)
+    return mags[..., ::-1], mags.cumsum(axis=-1)[..., ::-1]
 
 
 def combine(alpha: float, u: SparseVector, beta: float, w: SparseVector) -> SparseVector:

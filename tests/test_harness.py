@@ -1,3 +1,4 @@
+import hashlib
 import math
 import runpy
 import shutil
@@ -93,6 +94,28 @@ class TestEstimateRmse:
             cfg = RsriConfig(m=3, t=t_min + window, t_min=t_min, seed=1, trials=2)
             biases.append(estimate_rmse(prob, cfg, x).bias_norm)
         assert biases[0] > biases[1] > biases[2]
+
+    PINNED = {  # m: SHA-256 of the estimate's fields but its wall time
+        8: "eb64e9782d19b97f72e6d70ccae29d0d51963b375b20f07a1b6c48de15a2852a",
+        64: "5910856d330c000006ce05291e9fc922769da71108b8e3a90a7729c015e270f7",
+        1024: "9b97070fa9d4273ae9b1b77ac43d85fd890707006f37e851d7c7021cea79bb1c",
+    }
+
+    @pytest.fixture(scope="class")
+    def sweep_graph(self):
+        prob = build_problem(synth_bounded_outdegree(3000, 3, seed=88), 0.85, source=0)
+        return prob, reference_solve(prob.A, prob.b)
+
+    @pytest.mark.parametrize("m", sorted(PINNED))
+    def test_stacked_draws_are_pinned(self, sweep_graph, m):
+        # little-endian float64 rmse, bias norm and variance, then the int64
+        # column accesses, on the acceptance sweep's graph: every draw of the
+        # stacked trials, so a change to the stacked split or sampler shows
+        prob, oracle = sweep_graph
+        est = estimate_rmse(prob, RsriConfig(m=m, t=300, t_min=150, seed=808, trials=3), oracle)
+        raw = (np.array([est.rmse, est.bias_norm, est.variance_est], "<f8").tobytes()
+               + np.array([est.column_accesses], "<i8").tobytes())
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
 
 
 def single_runs(A, b, cfg):

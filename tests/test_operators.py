@@ -100,6 +100,18 @@ class TestColumnBackings:
         with pytest.raises(ValueError, match=match):
             CscMatrix(dim, indptr, indices, data)
 
+    @pytest.mark.parametrize(
+        "indptr, indices, name",
+        [
+            ([0, 1, 2], [0.7, 1.9], "indices"),
+            ([0.0, 1.5, 2.0], [0, 1], "indptr"),
+            ([0.0, 1.0, 2.0], [0, 1], "indptr"),
+        ],
+    )
+    def test_non_integer_index_arrays_rejected(self, indptr, indices, name):
+        with pytest.raises(TypeError, match=f"{name} must have an integer dtype"):
+            CscMatrix(2, indptr, indices, [1.0, 1.0])
+
     def test_valid_csc_columns_are_valid_vectors(self):
         # rows step down only where a column starts; empty columns anywhere
         A = CscMatrix(4, [0, 0, 2, 2, 4], [1, 3, 0, 2], [1.0, -2.0, np.nan, 4.0])

@@ -155,6 +155,11 @@ class TestBuildProblem:
         x = reference_solve(prob.A, prob.b, tol=tol)
         assert abs(x.sum() - 1.0) <= tol / (1 - 0.85)
 
+    @pytest.mark.parametrize("src, dst, name", [([0.5], [1], "src"), ([0], [1.0], "dst")])
+    def test_non_integer_endpoints_rejected(self, src, dst, name):
+        with pytest.raises(TypeError, match=f"{name} must have an integer dtype"):
+            EdgeList(2, np.array(src), np.array(dst), {0: 0, 1: 1})
+
     def test_validation(self):
         edges = EdgeList(2, np.array([0]), np.array([1]), {0: 0, 1: 1})
         with pytest.raises(ValueError):

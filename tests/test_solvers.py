@@ -221,6 +221,7 @@ class TestRsri:
         np.testing.assert_array_equal(a.estimate.values, b.estimate.values)
 
     LONE_RUNS = {  # m: (column accesses, SHA-256 of the estimate)
+        1: (999, "6399fc9288a21ea019d0d10d19f99c00dfe97bad91c4743d11883a627e506e40"),
         8: (7980, "64174ecd0ee803399ca2d37440a5a63f09c1df648c251043f7bc2eeebc86b34e"),
         64: (63656, "834879737a2d81dcef19b3ba71ecd3b5fb3d4a724c497dd36c64377451d0ec9c"),
         1024: (1014062, "f7d5643a99993f28951f2069792762def94fcc677cc043e90dadff7f851bb52f"),

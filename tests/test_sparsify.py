@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -44,6 +45,37 @@ def rational_exact_set(v, m):
         tail -= a[order[q]]
         q += 1
     return sorted(v.indices[order[:q]].tolist())
+
+
+def stable_argsort_split(v, m):
+    """Reference split: exact-set mask and residual probabilities per entry,
+    from a stable argsort of -|v| and the exact set as its first q entries."""
+    exact = np.ones(v.nnz, dtype=bool)
+    probs = np.zeros(v.nnz)
+    if v.nnz <= m:
+        return exact, probs
+    a = np.abs(v.values)
+    order = np.argsort(-a, kind="stable")  # indices are sorted: ties go to the lower one
+    tails = np.cumsum(a[order][::-1])[::-1]
+    admit = a[order[:m]] * (m - np.arange(m)) >= tails[:m]
+    failures = np.flatnonzero(~admit)
+    q = int(failures[0]) if failures.size else m
+    rest = order[q:]
+    exact[rest] = False
+    if q < m and tails[q] > 0.0:
+        probs[rest] = np.minimum((m - q) * a[rest] / tails[q], np.nextafter(1.0, 0.0))
+    return exact, probs
+
+
+def tied_vector(n, seed):
+    """n entries of lognormal magnitude and random sign, a fifth of them
+    drawn from a pool of 16 magnitudes, so ties are everywhere."""
+    rng = np.random.default_rng(seed)
+    mags = rng.lognormal(0.0, 2.0, n)
+    tied = rng.random(n) < 0.2
+    mags[tied] = rng.lognormal(0.0, 2.0, 16)[rng.integers(0, 16, int(tied.sum()))]
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return SparseVector(4 * n, np.sort(rng.choice(4 * n, n, replace=False)), signs * mags)
 
 
 values = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -155,7 +187,37 @@ class TestPreservationSplit:
             assert split.residual_probs.max() < 1.0
 
 
+class TestReferenceSplit:
+    """preservation_split equals the stable-argsort split bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(v, m):
+        split = preservation_split(v, m)
+        exact, probs = stable_argsort_split(v, m)
+        assert split.exact_positions.tolist() == exact.nonzero()[0].tolist()
+        assert split.residual_positions.tolist() == (~exact).nonzero()[0].tolist()
+        assert split.residual_probs.tobytes() == probs[~exact].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors_and_m())
+    def test_drawn_vectors(self, case):
+        self.assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("n, m", [(3000, 1024), (250_000, 2**16)])
+    def test_tied_vectors(self, n, m):
+        self.assert_matches_reference(tied_vector(n, n), m)
+
+
 class TestSparsify:
+    def test_large_draw_is_pinned(self):
+        # SHA-256 of the little-endian int64 indices, then the float64 values
+        out = sparsify(tied_vector(250_000, 16), 2**16, RandomStream(16))
+        raw = out.indices.astype("<i8").tobytes() + out.values.astype("<f8").tobytes()
+        assert out.nnz == 2**16
+        assert hashlib.sha256(raw).hexdigest() == (
+            "953eabb67af087538d667f4160dca3829c3b632d6ddbd121a26925df93af41c9"
+        )
+
     def test_worked_example_support_and_norm(self):
         v = worked_vector()
         rng = RandomStream(2)
@@ -273,6 +335,13 @@ class TestSparsify:
 class TestL2Bound:
     def test_worked_example(self):
         assert sparsify_l2_bound(worked_vector(), 2) == pytest.approx(16.0)
+
+    def test_rejects_bad_m(self):
+        # the level is checked as preservation_split checks it
+        with pytest.raises(ValueError, match="sparsity level m must be >= 1"):
+            sparsify_l2_bound(worked_vector(), 0)
+        with pytest.raises(TypeError, match="sparsity level m must be an integer"):
+            sparsify_l2_bound(worked_vector(), 2.0)
 
     def test_zero_when_fully_preserved(self):
         assert sparsify_l2_bound(sparse_from(5, [(0, 1.0), (2, 2.0)]), 3) == 0.0

@@ -55,6 +55,14 @@ class TestSparseVector:
         with pytest.raises(ValueError, match=message):
             SparseVector(dim, np.array(idx), np.array(val))
 
+    @pytest.mark.parametrize("idx", [[0.5, 2.2], [0.0, 2.0], [True, False]])
+    def test_non_integer_indices_rejected(self, idx):
+        with pytest.raises(TypeError, match="indices must have an integer dtype"):
+            SparseVector(3, idx, [1.0, 1.0])
+
+    def test_empty_index_list_accepted(self):
+        assert SparseVector(3, [], []).nnz == 0  # an empty list reads as float64
+
     def test_dip_whose_int64_differences_wrap_is_rejected(self):
         # every np.diff of these indices wraps around to a positive int64
         idx = np.array([2**62 + 1, -(2**63), -1, 2**62 + 2], dtype=np.int64)
