@@ -166,13 +166,13 @@ class CscMatrix(ColumnMatrix):
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
         """Flat (rows, coeff * data, per-column counts) for the requested
         columns, in request order; no dedupe."""
-        counts = self.indptr[cols + 1] - self.indptr[cols]
+        lo = self.indptr[cols]
+        counts = self.indptr[cols + 1] - lo
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), counts
-        stops = np.cumsum(counts)
-        offsets = np.arange(total) - np.repeat(stops - counts, counts)
-        flat = np.repeat(self.indptr[cols], counts) + offsets
+        # entry e of the k-th requested column sits at lo[k] + e
+        flat = np.arange(total) + np.repeat(lo - (counts.cumsum() - counts), counts)
         return self.indices[flat], self.data[flat] * np.repeat(coeffs, counts), counts
 
 
@@ -308,7 +308,7 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=terms, minlength=A.dim)
     if isinstance(A, DenseColumnMatrix):
         return A.array @ v
-    nz = np.flatnonzero(v)
+    nz = (v != 0.0).nonzero()[0]
     rows, vals, _ = A.gather(nz, v[nz])
     return np.bincount(rows, weights=vals, minlength=A.dim)
 

@@ -22,6 +22,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .vectors import check_int
+
 __all__ = [
     "ProbabilityVector",
     "RandomStream",
@@ -76,7 +78,7 @@ class RandomStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        if not 0 <= check_int(self.seed, "seed") < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(seq))
@@ -89,7 +91,7 @@ class RandomStream:
 
 def spawn_stream(master: RandomStream, trial: int) -> RandomStream:
     """Derive the child stream for one trial; deterministic in (seed, trial)."""
-    if trial < 0:
+    if check_int(trial, "trial") < 0:
         raise ValueError("trial must be nonnegative")
     return RandomStream(master.seed, master.path + (int(trial),))
 
@@ -126,29 +128,26 @@ def _pivotal_positions(probs: np.ndarray, m: int, rng: RandomStream) -> np.ndarr
 
 
 def _pivotal_rows(
-    probs: np.ndarray, row: np.ndarray, targets: np.ndarray, streams: Sequence[RandomStream]
+    probs: np.ndarray, bounds: np.ndarray, targets: np.ndarray, streams: Sequence[RandomStream]
 ) -> np.ndarray:
     """Sorted positions chosen by one pivotal draw per row, row k on streams[k].
 
-    ``probs`` holds the rows one after another (``row`` is its sorted row
-    id per entry) and row k must select ``targets[k]`` entries.  Row k is
-    drawn as :func:`_pivotal_positions` would draw it on ``streams[k]``.
+    Row k is ``probs[bounds[k]:bounds[k + 1]]`` and must select
+    ``targets[k]`` entries; it is drawn as :func:`_pivotal_positions`
+    would draw it on ``streams[k]``, rows in ascending order.
     """
-    nz = probs.nonzero()[0]
+    nz = (probs != 0.0).nonzero()[0]
     if nz.size == 0:
         return nz
-    n = np.bincount(row[nz], minlength=len(streams))
+    nz_bounds = np.searchsorted(nz, bounds)
+    n = nz_bounds[1:] - nz_bounds[:-1]
     live = n.nonzero()[0]
-    # the uniform of the duel that brings in each entry; a row's first
-    # entry meets no one and gets a placeholder
-    u = [_NO_DUEL]
+    # the uniform of the duel that brings in each entry; the first entry of
+    # every later row meets no one and gets a placeholder
+    u = []
     for k, size in zip(live.tolist(), n[live].tolist()):
-        if size > 1:
-            u.append(streams[k].random(size - 1))
-        u.append(_NO_DUEL)
-    u = np.concatenate(u[:-1])
-    starts = (n.cumsum() - n)[live]
-    return nz[_pivotal_core(probs[nz], starts, targets[live], u[1:])]
+        u += [streams[k].random(size - 1), _NO_DUEL]
+    return nz[_pivotal_core(probs[nz], nz_bounds[live], targets[live], np.concatenate(u[:-1]))]
 
 
 def _pivotal_core(probs: np.ndarray, starts: np.ndarray, targets, u: np.ndarray) -> np.ndarray:

@@ -12,11 +12,12 @@ the input on every single draw.
 Both the split and the sparsifier also take many vectors stacked into
 one, each on its own stream and at its own level if need be, which is
 how the solver advances many runs in one step; a stacked vector's
-results equal separate calls bit for bit.
+results equal separate calls bit for bit.  Each vector is a slice of
+the storage between bounds that one search finds in the sorted keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,7 +42,8 @@ class PreservationSplit:
     with T(q) the tail of the same rearrangement that decided admission,
     and is strictly below one except in the degenerate all-admitted case.
     The ``*_positions`` are the storage positions of those indices in v.
-    For stacked vectors every field, and q, covers all of them.
+    For stacked vectors every field, and q, covers all of them; vector k
+    has ``_q[k]`` and its residual from ``_bounds[k]`` to ``_bounds[k + 1]``.
     """
 
     dim: int
@@ -50,6 +52,8 @@ class PreservationSplit:
     residual_probs: np.ndarray
     exact_positions: np.ndarray
     residual_positions: np.ndarray
+    _q: np.ndarray = field(default=None, repr=False, compare=False)
+    _bounds: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -66,14 +70,16 @@ def preservation_split(
 
     With ``rows`` > 1, v holds that many vectors of dimension
     ``v.dim // rows`` end to end (entry i of vector k at index
-    ``k * (v.dim // rows) + i``), and each is split as it would be alone.
-    ``levels``, one int from 1 to m per vector, gives vector k the level
-    ``levels[k]`` in place of m.
+    ``k * (v.dim // rows) + i``), and each is split, in its slice of the
+    storage, as it would be alone.  ``levels``, one int from 1 to m per
+    vector, gives vector k the level ``levels[k]`` in place of m.
     """
     m = _levels(m, levels, rows)
     if rows < 1 or v.dim % rows:
         raise ValueError(f"dimension {v.dim} does not hold {rows} equal vectors")
-    exact, probs = _split_one(v, m) if rows == 1 else _split_stacked(v, m, rows)
+    if rows > 1:
+        return _split_stacked(v, m, rows)
+    exact, probs = _split_one(v, m)
     exact_pos = exact.nonzero()[0]
     res_pos = (~exact).nonzero()[0]
     return PreservationSplit(
@@ -122,50 +128,56 @@ def _split_one(v: SparseVector, m: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, probs
 
 
-def _split_stacked(v: SparseVector, m, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_split_one` of every stacked vector at once, vector k at
-    level ``m`` or ``m[k]``.
-
-    The same rule, over a zero-padded (rows, width) array of magnitudes
-    whose padding adds exact zeros, so each vector sees its own operands
-    in the order the one-vector split does.
-    """
-    row = v.indices // (v.dim // rows)
-    counts = np.bincount(row, minlength=rows)
-    big = counts > m
-    exact = ~big[row]  # a vector of at most its m entries is kept whole
-    probs = np.zeros(v.nnz)
-    sub = (~exact).nonzero()[0]
-    if not sub.size:
-        return exact, probs
-    a = np.abs(v.values[sub])
-    r = (big.cumsum() - 1)[row[sub]]
-    n = counts[big]
+def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
+    """:func:`_split_one` of every stacked vector at once, vector k at level
+    ``m`` or ``m[k]`` in v's storage from ``bounds[k]`` on.  Its figures are
+    computed once and repeated over its entries, and its magnitudes fill a
+    row of a zero-padded array whose padding adds exact zeros, so it sees
+    its own operands in the order the one-vector split does."""
+    bounds = np.searchsorted(v.indices, np.arange(rows + 1) * (v.dim // rows))
+    q = bounds[1:] - bounds[:-1]  # a vector of at most its m entries is kept whole
+    big = (q > m).nonzero()[0]
+    if not big.size:  # every vector is kept whole
+        return PreservationSplit(v.dim, v.indices, bounds[:0], np.zeros(0), np.arange(v.nnz),
+                                 bounds[:0], q, np.zeros_like(bounds))
+    n, m = q[big], m[big] if isinstance(m, np.ndarray) else m
+    start = n.cumsum() - n  # of each big vector among theirs
+    pos = np.arange(n.sum()) + np.repeat(bounds[big] - start, n)
+    a = np.abs(v.values[pos])
     width = int(n.max())
-    mags = np.zeros((n.size, width))
-    mags.ravel()[r * width + np.arange(sub.size) - (n.cumsum() - n)[r]] = a
-    dec, tails = _rearrangement(mags)
+    mags = np.zeros(n.size * width)
+    mags[np.arange(a.size) + np.repeat(width * np.arange(n.size) - start, n)] = a
+    dec, tails = _rearrangement(mags.reshape(n.size, width))
     if isinstance(m, np.ndarray):
-        m = m[big]
         k = np.arange(m.max())
         # past its own level a vector admits nothing more: mask it as passing
         admit = (dec[:, : k.size] * (m[:, None] - k) >= tails[:, : k.size]) | (k >= m[:, None])
     else:
         admit = dec[:, :m] * (m - np.arange(m)) >= tails[:, :m]
-    q = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
-    t_q = tails[np.arange(n.size), q]
+    q[big] = q_big = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
+    t_q = tails[np.arange(n.size), q_big]
     # D: the magnitudes above |v|_(q-1), then the first ties at it by position
-    floor = np.where(q > 0, dec[np.arange(n.size), np.maximum(q - 1, 0)], np.inf)[r]
+    floor = np.where(q_big > 0, dec[np.arange(n.size), np.maximum(q_big - 1, 0)], np.inf)
+    floor = np.repeat(floor, n)
     admitted = a > floor
     tie = (a == floor).nonzero()[0]
-    n_tie = np.bincount(r[tie], minlength=n.size)
-    need = q - np.bincount(r[admitted], minlength=n.size)
-    admitted[tie[np.arange(tie.size) - (n_tie.cumsum() - n_tie)[r[tie]] < need[r[tie]]]] = True
-    exact[sub[admitted]] = True
+    first = np.searchsorted(tie, np.append(start, a.size))
+    n_tie = first[1:] - first[:-1]
+    need = np.repeat(q_big - np.add.reduceat(admitted, start), n_tie)
+    admitted[tie[np.arange(tie.size) - np.repeat(first[:-1], n_tie) < need]] = True
+    res = (~admitted).nonzero()[0]
     # degenerate vectors keep probability zero, as in _split_one
-    res = (~admitted & ((q < m) & (t_q > 0.0))[r]).nonzero()[0]
-    probs[sub[res]] = np.minimum((m - q)[r[res]] * a[res] / t_q[r[res]], np.nextafter(1.0, 0.0))
-    return exact, probs
+    live = np.repeat((q_big < m) & (t_q > 0.0), n - q_big)
+    probs = np.zeros(res.size)
+    np.multiply(np.repeat(m - q_big, n - q_big), a[res], out=probs, where=live)
+    np.divide(probs, np.repeat(t_q, n - q_big), out=probs, where=live)
+    res_pos = pos[res]
+    exact = np.ones(v.nnz, dtype=bool)
+    exact[res_pos] = False
+    exact_pos = exact.nonzero()[0]
+    np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)
+    return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs, exact_pos,
+                             res_pos, q, np.searchsorted(res_pos, bounds))
 
 
 def sparsify(
@@ -189,21 +201,22 @@ def sparsify(
     if np.ndim(level) == 0 and v.nnz <= level:
         return v
     split = preservation_split(v, m, len(streams), levels)
-    if not split.residual_positions.size:  # every vector holds at most its level's entries
+    res = split.residual_positions
+    if not res.size:  # every vector holds at most its level's entries
         return v
     # split probabilities honor the ProbabilityVector contract by construction
     if len(streams) == 1:
         chosen = _pivotal_positions(split.residual_probs, level - split.q, streams[0])
     else:
-        dim = v.dim // len(streams)
-        kept = np.bincount(split.exact_indices // dim, minlength=len(streams))
-        chosen = _pivotal_rows(
-            split.residual_probs, split.residual_indices // dim, level - kept, streams
-        )
-    pos = np.sort(np.concatenate([split.exact_positions, split.residual_positions[chosen]]))
-    weight = np.ones(v.nnz)  # exact entries are divided by one, which is exact
-    weight[split.residual_positions] = split.residual_probs
-    return SparseVector._make(v.dim, v.indices[pos], v.values[pos] / weight[pos])
+        chosen = _pivotal_rows(split.residual_probs, split._bounds, level - split._q, streams)
+    pos = res[chosen]
+    keep = np.ones(v.nnz, dtype=bool)
+    keep[res] = False
+    keep[pos] = True
+    kept = keep.nonzero()[0]
+    values = v.values.copy()  # exact entries are copied as they are
+    values[pos] /= split.residual_probs[chosen]
+    return SparseVector._make(v.dim, v.indices[kept], values[kept])
 
 
 def sparsify_l2_bound(v: SparseVector, m: int) -> float:

@@ -125,7 +125,7 @@ class SparseVector:
     @classmethod
     def from_dense(cls, arr) -> "SparseVector":
         arr = np.asarray(arr, dtype=np.float64)
-        idx = np.flatnonzero(arr)
+        idx = (arr != 0.0).nonzero()[0]  # a mask scans faster than flatnonzero, same keys
         return cls(arr.size, idx.astype(np.int64), arr[idx])
 
     def to_dense(self) -> np.ndarray:
@@ -155,7 +155,7 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
     values = np.asarray(values, dtype=np.float64)
     if 4 * dim <= indices.size * indices.size.bit_length():
         sums = np.bincount(indices, weights=values, minlength=dim)
-        keys = np.flatnonzero(sums)
+        keys = (sums != 0.0).nonzero()[0]
         return SparseVector._make(dim, keys, sums[keys])
     order = _stable_order(indices, dim)
     si = indices[order]

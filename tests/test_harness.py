@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import math
 import runpy
 import shutil
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +18,7 @@ from rsri import (
     FunctionColumnMatrix,
     LinearProblem,
     NonConvergenceError,
+    PreservationSplit,
     RandomStream,
     RsriConfig,
     SparseVector,
@@ -482,3 +485,58 @@ class TestSvg:
         root = ET.fromstring(doc)
         (poly,) = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(poly.attrib["points"].split()) == 2
+
+
+class TestTraceable:
+    """Each sparsified step calls the public ``sparsify`` and
+    ``preservation_split`` once, so wrappers that rebind them in every
+    rsri module, as perfbench/tracer.py does, see every step."""
+
+    @staticmethod
+    def rebind(monkeypatch, name, wrap):
+        original = getattr(importlib.import_module("rsri.sparsify"), name)
+        wrapper = wrap(original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "rsri" or mod_name.startswith("rsri."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+
+    def count_steps(self, monkeypatch, solve):
+        """(splits expected, splits seen) per sparsify call of ``solve()``."""
+        steps = []
+
+        def wrap_sparsify(fn):
+            def counted(v, m, rng, levels=None):
+                # a step is sparsified unless one level covers every entry
+                steps.append([int(levels is not None or v.nnz > m), 0])
+                return fn(v, m, rng, levels)
+            return counted
+
+        def wrap_split(fn):
+            def counted(*args, **kwargs):
+                split = fn(*args, **kwargs)
+                assert isinstance(split, PreservationSplit)
+                steps[-1][1] += 1
+                return split
+            return counted
+
+        self.rebind(monkeypatch, "sparsify", wrap_sparsify)
+        self.rebind(monkeypatch, "preservation_split", wrap_split)
+        solve()
+        return steps
+
+    def test_estimate_rmse_three_trials(self, monkeypatch):
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=5), 0.85, source=0)
+        cfg = RsriConfig(m=16, t=60, t_min=30, seed=4, trials=3)
+        oracle = reference_solve(prob.A, prob.b)
+        steps = self.count_steps(monkeypatch, lambda: estimate_rmse(prob, cfg, oracle))
+        assert len(steps) == cfg.t - 1
+        assert all(seen == expected for expected, seen in steps)
+        assert sum(seen for _, seen in steps) > cfg.t // 2
+
+    def test_mixed_level_sweep(self, monkeypatch):
+        prob = build_problem(synth_bounded_outdegree(200, 3, seed=5), 0.85, source=0)
+        cfg = RsriConfig(m=4, t=60, t_min=30, seed=4, trials=3)
+        steps = self.count_steps(monkeypatch, lambda: run_sweep(prob, cfg, [4, 8, 32], log=None))
+        assert steps == [[1, 1]] * (cfg.t - 1)

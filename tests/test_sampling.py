@@ -292,5 +292,28 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(2**64)
 
+    def test_rejects_float_seed(self):
+        # int() would truncate 1.5 and replay RandomStream(1)'s draws
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            RandomStream(1.5)
+
+    def test_rejects_bool_seed(self):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            RandomStream(True)
+
+    def test_rejects_string_seed(self):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            RandomStream("7")
+
+    def test_rejects_float_trial(self):
+        with pytest.raises(TypeError, match="trial must be an integer"):
+            spawn_stream(RandomStream(1), 2.7)
+
+    def test_numpy_integer_seed_and_trial_draw_as_ints(self):
+        assert RandomStream(np.uint64(5)).random() == RandomStream(5).random()
+        child = spawn_stream(RandomStream(np.uint64(5)), np.int64(2))
+        assert child.path == (2,)
+        assert child.random() == spawn_stream(RandomStream(5), 2).random()
+
     def test_kind_recorded(self):
         assert RandomStream(0).kind == "pcg64"

@@ -15,6 +15,7 @@ from rsri import (
     preservation_split,
     sparsify,
     sparsify_l2_bound,
+    spawn_stream,
 )
 
 from conftest import sparse_from
@@ -105,6 +106,66 @@ def vectors_and_m(draw):
     vals = [x * draw(st.sampled_from(scale)) for x in vals]
     m = draw(st.integers(min_value=1, max_value=8))
     return sparse_from(dim, list(zip(idx, vals))), m
+
+
+def stack(runs):
+    """The vectors of ``runs``, all of one dimension, end to end: entry i of
+    run k at k * dim + i."""
+    dim = runs[0].dim
+    return SparseVector(
+        len(runs) * dim,
+        np.concatenate([k * dim + r.indices for k, r in enumerate(runs)]).astype(np.int64),
+        np.concatenate([r.values for r in runs]),
+    )
+
+
+@st.composite
+def stacked_runs(draw):
+    """Runs of one dimension and their levels, for stacked calls.
+
+    Runs may be empty or hold at most their level's entries.  ``kind``
+    sets the magnitudes: drawn at the scales above; a fifth of them tied
+    to a pool of two; some the smallest subnormal, whose probabilities
+    underflow to zero; from a pool of three plus one too small to move a
+    tail, so rounding can split a tie group between D and the residual;
+    or, in every run, the level's count of ones over such small entries,
+    so each run is kept whole or degenerate (q = m) and no run draws.
+    """
+    count = draw(st.integers(min_value=2, max_value=5))
+    dim = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=6))
+    levels = draw(st.one_of(st.none(), st.lists(st.integers(1, m), min_size=count, max_size=count)))
+    kind = draw(st.sampled_from(["drawn", "tied", "underflow", "split ties", "degenerate"]))
+    pool = draw(st.lists(values, min_size=2, max_size=2))
+    scale = draw(scales)
+    runs = []
+    for k in range(count):
+        idx = sorted(draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)))
+        mags = []
+        for j in range(len(idx)):
+            if kind == "degenerate":
+                mags.append(1.0 if j < (m if levels is None else levels[k]) else 1e-20)
+            elif kind == "tied" and draw(st.integers(0, 4)) == 0:
+                mags.append(draw(st.sampled_from(pool)))
+            elif kind == "underflow" and draw(st.booleans()):
+                mags.append(math.ulp(0.0))
+            elif kind == "split ties":
+                mags.append(draw(st.sampled_from([0.1, 0.3, 1 / 3, 1e-17])))
+            else:
+                mags.append(draw(values) * (draw(st.sampled_from(scale)) if kind == "drawn" else 1.0))
+        signs = [draw(st.sampled_from([1.0, -1.0])) for _ in idx]
+        vals = np.array(mags) * np.array(signs)
+        if kind == "degenerate":  # shuffle the ones among the small entries
+            vals = vals[draw(st.permutations(range(len(idx))))] if idx else vals
+        runs.append(SparseVector(dim, np.array(idx, dtype=np.int64), vals))
+    return runs, m, None if levels is None else np.array(levels)
+
+
+def stacked_draw_case():
+    """Three runs of about 1 500 entries at m = 1024, the shape of one
+    step of the solve_large_m benchmark, with their streams."""
+    runs = [tied_vector(1500, 1500 + k) for k in range(3)]
+    return stack(runs), [spawn_stream(RandomStream(17), k) for k in range(3)]
 
 
 class TestPreservationSplit:
@@ -330,6 +391,66 @@ class TestSparsify:
             out = sparsify(v, m, rng)
             assert out.nnz <= m
             assert norms(out).one == pytest.approx(norms(v).one, rel=1e-12, abs=tiny)
+
+
+class TestStackedRuns:
+    """Stacked calls equal one lone call per run, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_runs())
+    @example(([SparseVector(2, [0, 1], [1.0, 1e-20]), SparseVector(2, [0, 1], [-1e-20, 1.0])], 1, None))
+    @example(([SparseVector(4, [0, 1, 2, 3], [10.0, 10.0, 10.0, math.ulp(0.0)]),
+               SparseVector.empty(4)], 2, None))
+    @example(([SparseVector(5, [0, 1, 2, 3, 4], [0.1, 1e-17, 0.1, -0.1, 1e-17]),
+               SparseVector(5, [1, 2, 4], [0.1, -0.1, 0.1])], 3, np.array([3, 1])))
+    # non-finite magnitudes: an inf left in a degenerate residual, and a NaN tail
+    @example(([SparseVector(4, [0, 1, 2, 3], [math.inf, -math.inf, math.inf, 1.0]),
+               SparseVector(4, [0, 1, 2, 3], [1.0, math.nan, 2.0, 3.0])], 2, None))
+    def test_equal_lone_calls(self, case):
+        runs, m, levels = case
+        level = [m] * len(runs) if levels is None else levels.tolist()
+        v = stack(runs)
+        split = preservation_split(v, m, len(runs), levels)
+        streams = [RandomStream(40 + k) for k in range(len(runs))]
+        out = sparsify(v, m, streams, levels)
+        lone_streams = [RandomStream(40 + k) for k in range(len(runs))]
+        dim, start = runs[0].dim, 0
+        for k, (run, lone_stream) in enumerate(zip(runs, lone_streams)):
+            lone = preservation_split(run, level[k])
+            got = [
+                (split.exact_indices, split.exact_positions),
+                (split.residual_indices, split.residual_positions),
+            ]
+            want = [
+                (lone.exact_indices, lone.exact_positions),
+                (lone.residual_indices, lone.residual_positions),
+            ]
+            for (idx, pos), (lone_idx, lone_pos) in zip(got, want):
+                mine = (idx >= k * dim) & (idx < (k + 1) * dim)
+                assert (idx[mine] - k * dim).tolist() == lone_idx.tolist(), f"run {k}"
+                assert (pos[mine] - start).tolist() == lone_pos.tolist(), f"run {k}"
+            mine = (split.residual_indices >= k * dim) & (split.residual_indices < (k + 1) * dim)
+            assert split.residual_probs[mine].tobytes() == lone.residual_probs.tobytes()
+            drawn = sparsify(run, level[k], lone_stream)
+            mine = (out.indices >= k * dim) & (out.indices < (k + 1) * dim)
+            assert (out.indices[mine] - k * dim).tolist() == drawn.indices.tolist(), f"run {k}"
+            assert out.values[mine].tobytes() == drawn.values.tobytes(), f"run {k}"
+            start += run.nnz
+        # each run read exactly its own uniforms
+        assert [s.random() for s in streams] == [s.random() for s in lone_streams]
+
+    def test_stacked_draw_is_pinned(self):
+        # SHA-256 of the little-endian int64 indices, then the float64 values
+        v, streams = stacked_draw_case()
+        out = sparsify(v, 1024, streams)
+        raw = out.indices.astype("<i8").tobytes() + out.values.astype("<f8").tobytes()
+        assert out.nnz == 3 * 1024
+        assert hashlib.sha256(raw).hexdigest() == (
+            "f65dd0169430e7659fa6f198ecfc088264d59378907d4b3434b6e0cc328eb781"
+        )
+        assert [s.random() for s in streams] == [
+            0.7359219549666668, 0.5697839819365886, 0.725916365293979
+        ]
 
 
 class TestL2Bound:

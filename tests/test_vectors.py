@@ -96,6 +96,11 @@ class TestSparseVector:
         assert v.nnz == 2
         np.testing.assert_array_equal(v.to_dense(), arr)
 
+    def test_from_dense_keeps_nan_and_drops_negative_zero(self):
+        v = SparseVector.from_dense([0.0, -0.0, np.nan, 1.0])
+        assert v.indices.tolist() == [2, 3]
+        assert np.isnan(v.values[0]) and v.values[1] == 1.0
+
 
 class TestNorms:
     def test_empty(self):
