@@ -98,15 +98,14 @@ class CscMatrix(ColumnMatrix):
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
         check_dim(dim)
-        self.dim = int(dim)
-        self.indptr = ptr = index_array(indptr, "indptr")
-        self.indices = idx = index_array(indices, "indices")
-        self.data = np.asarray(data, dtype=np.float64)
+        ptr = index_array(indptr, "indptr")
+        idx = index_array(indices, "indices")
+        data = np.asarray(data, dtype=np.float64)
         if ptr.shape != (dim + 1,):
             raise ValueError("indptr must have length dim + 1")
         if ptr[0] != 0 or np.count_nonzero(ptr[1:] < ptr[:-1]):
             raise ValueError("indptr must start at 0 and never decrease")
-        if idx.shape != (ptr[-1],) or self.data.shape != (ptr[-1],):
+        if idx.shape != (ptr[-1],) or data.shape != (ptr[-1],):
             raise ValueError("indices and data must be 1-D arrays of indptr[-1] entries")
         if idx.size and (idx.min() < 0 or idx.max() >= dim):
             raise ValueError("row indices out of range")
@@ -116,11 +115,22 @@ class CscMatrix(ColumnMatrix):
         down[ptr] = False
         if np.count_nonzero(down):
             raise ValueError("rows must be strictly increasing within each column")
-        if not self.data.all():  # -0.0 is a zero, NaN is not
+        if not data.all():  # -0.0 is a zero, NaN is not
             raise ValueError("stored zero values are forbidden")
-        self.q_max = int(np.diff(ptr).max())
+        self._fill(int(dim), ptr, idx, data)
+
+    @classmethod
+    def _make(cls, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "CscMatrix":
+        # trusted fast path: int64 and float64 arrays that pass the constructor's checks
+        self = object.__new__(cls)
+        self._fill(dim, indptr, indices, data)
+        return self
+
+    def _fill(self, dim, indptr, indices, data):
+        self.dim, self.indptr, self.indices, self.data = dim, indptr, indices, data
+        self.q_max = int(np.diff(indptr).max())
         self._row_blocks = None
-        for arr in (self.indptr, self.indices, self.data):
+        for arr in (indptr, indices, data):
             arr.setflags(write=False)
 
     @classmethod
@@ -231,16 +241,56 @@ def _entries(A: ColumnMatrix):
     return rows, np.repeat(ids, counts), vals
 
 
+def _insert(slots: np.ndarray, *pairs) -> list[np.ndarray]:
+    """Each ``(array, fill)`` pair as one array with ``fill`` at the sorted,
+    distinct positions ``slots`` and the array's entries, in order, at the
+    others."""
+    if not slots.size:
+        return [arr for arr, _ in pairs]
+    free = np.ones(pairs[0][0].size + slots.size, dtype=bool)
+    free[slots] = False
+    at = free.nonzero()[0]
+    out = []
+    for arr, fill in pairs:
+        res = np.empty(free.size, dtype=arr.dtype)
+        res[at] = arr
+        res[slots] = fill
+        out.append(res)
+    return out
+
+
+def _plus_identity(M: CscMatrix, s: float) -> CscMatrix:
+    """I + s·M with the bits ``from_triplets`` gives the triplets of I
+    followed by those of s·M: a stored diagonal entry is 1.0 + s·m_jj, the
+    others are s·m, and exact zeros are dropped.  Each missing diagonal
+    entry is scattered into its slot, after the rows above it in its
+    column, so nothing is sorted."""
+    n, ptr, rows = M.dim, M.indptr, M.indices
+    cols = M.column_ids()
+    above = np.zeros(rows.size + 1, dtype=np.int64)  # entries above the diagonal so far
+    np.cumsum(rows < cols, out=above[1:])
+    diag = ptr[:-1] + (above[ptr[1:]] - above[ptr[:-1]])  # M's first entry at or below it
+    stored = np.zeros(n, dtype=bool)
+    stored[cols[rows == cols]] = True
+    vals = s * M.data
+    vals[diag[stored]] += 1.0
+    missing = ~stored
+    indptr = ptr + np.append(0, np.cumsum(missing))
+    slots = (diag + (indptr[:-1] - ptr[:-1]))[missing]
+    rows, vals = _insert(slots, (rows, missing.nonzero()[0]), (vals, 1.0))
+    if np.count_nonzero(vals) < vals.size:
+        keep = vals.nonzero()[0]
+        indptr = np.searchsorted(keep, indptr)  # kept entries before each column
+        rows, vals = rows[keep], vals[keep]
+    return CscMatrix._make(n, indptr, rows, vals)
+
+
 def _abs_g_entries(A: ColumnMatrix):
     """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|."""
-    ids = np.arange(A.dim)
-    rows, cols, vals = _entries(A)
-    G = CscMatrix.from_triplets(  # sums the diagonal, drops exact zeros, sorts rows
-        A.dim,
-        np.concatenate([ids, rows]),
-        np.concatenate([ids, cols]),
-        np.concatenate([np.ones(A.dim), -vals]),
-    )
+    if not isinstance(A, CscMatrix):  # a gather of every column is in CSC order
+        rows, vals, counts = A.gather(np.arange(A.dim), np.ones(A.dim))
+        A = CscMatrix._make(A.dim, np.append(0, np.cumsum(counts)), rows, vals)
+    G = _plus_identity(A, -1.0)
     return G.indices, G.column_ids(), np.abs(G.data)
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CscMatrix, _read_table
-from .vectors import SparseVector, _stable_order, coalesce, index_array
+from .operators import CscMatrix, _insert, _plus_identity, _read_table
+from .vectors import SparseVector, _stable_order, index_array
 
 __all__ = [
     "EdgeList",
@@ -104,38 +104,43 @@ def load_edge_list(path) -> EdgeList:
 
 
 def _distinct_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (src, dst) pairs in lexicographic order, as the indices
-    of the int64 keys ``src * n + dst`` coalesced."""
-    keys = coalesce(n * n, src * n + dst, np.ones(src.size)).indices
-    return keys // n, keys % n
+    """The distinct (src, dst) pairs in lexicographic order: the int64 keys
+    ``src * n + dst`` sorted, each run of equal keys kept once."""
+    keys = src * n
+    keys += dst
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)  # first entry of each key's run
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    src = keys // n
+    keys -= src * n
+    return src, keys
 
 
 def _transition_matrix(edges: EdgeList, source: int) -> CscMatrix:
+    """P's CSC arrays straight from the distinct pairs, which are in CSC
+    order; a dangling column's one entry (row source, value 1.0) sits at
+    its start."""
     n = edges.node_count
     src, dst = _distinct_edges(n, edges.src, edges.dst)
     out_deg = np.bincount(src, minlength=n)
-    dangling = np.flatnonzero(out_deg == 0)
-    cols = np.concatenate([src, dangling])
-    rows = np.concatenate([dst, np.full(dangling.size, source, dtype=np.int64)])
-    vals = np.concatenate([1.0 / out_deg[src], np.ones(dangling.size)])
-    P = CscMatrix.from_triplets(n, rows, cols, vals)
-    # the triplets are distinct, so these are P's column sums
-    sums = np.bincount(cols, weights=vals, minlength=n)
+    dangling = out_deg == 0
+    weights = 1.0 / out_deg[src]
+    sums = np.bincount(src, weights=weights, minlength=n)  # P's column sums
+    sums[dangling] = 1.0
     if np.any(np.abs(sums - 1.0) > STOCHASTIC_TOL):
         raise ValueError("transition matrix failed the column-stochasticity check")
-    return P
+    indptr = np.append(0, np.cumsum(out_deg + dangling))
+    rows, vals = _insert(indptr[:-1][dangling], (dst, source), (weights, 1.0))
+    return CscMatrix._make(n, indptr, rows, vals)
 
 
 def assemble(P: CscMatrix, alpha: float, s: SparseVector) -> tuple[CscMatrix, SparseVector]:
     """System matrix I - alpha P and right-hand side (1 - alpha) s."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    n = P.dim
-    rows = np.concatenate([np.arange(n, dtype=np.int64), P.indices])
-    cols = np.concatenate([np.arange(n, dtype=np.int64), P.column_ids()])
-    vals = np.concatenate([np.ones(n), -alpha * P.data])
-    A = CscMatrix.from_triplets(n, rows, cols, vals)
-    b = SparseVector(n, s.indices, (1.0 - alpha) * s.values)
+    A = _plus_identity(P, -alpha)
+    b = SparseVector(P.dim, s.indices, (1.0 - alpha) * s.values)
     return A, b
 
 

@@ -163,8 +163,9 @@ def coalesce(dim: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
     first[0] = True
     np.not_equal(si[1:], si[:-1], out=first[1:])
     sums = np.bincount(np.cumsum(first) - 1, weights=values[order])
-    keep = sums != 0.0
-    return SparseVector._make(dim, si[first][keep], sums[keep])
+    del order  # freed before the index arrays below, which would raise the peak
+    keep = (sums != 0.0).nonzero()[0]
+    return SparseVector._make(dim, si[first.nonzero()[0][keep]], sums[keep])
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:

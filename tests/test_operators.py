@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsri import (
     CscMatrix,
@@ -9,6 +11,7 @@ from rsri import (
     FunctionColumnMatrix,
     SparseVector,
     apply,
+    build_problem,
     densify,
     diagnostics,
     g_column,
@@ -16,6 +19,7 @@ from rsri import (
     load_matrix_market,
     matrix_norm1_of_g,
     save_matrix_market,
+    synth_bounded_outdegree,
 )
 from rsri.operators import (
     EntryRangeError,
@@ -23,9 +27,11 @@ from rsri.operators import (
     MatrixMarketHeaderError,
     NonSquareMatrixError,
     PatternValuesError,
+    _abs_g_entries,
+    _plus_identity,
 )
 
-from conftest import three_cycle_problem
+from conftest import random_contraction_system, three_cycle_problem
 
 
 def write(tmp_path, name, text):
@@ -230,6 +236,91 @@ class TestNormAndDiagnostics:
         d = diagnostics(A)
         assert (d.g_norm1, d.m_g_simple, d.m_g_series) == (2.0, math.inf, math.inf)
         assert not d.is_contraction
+
+
+def plus_identity_reference(M, s):
+    """I + s·M through from_triplets: the triplets of I, then those of s·M."""
+    ids = np.arange(M.dim)
+    return CscMatrix.from_triplets(
+        M.dim,
+        np.concatenate([ids, M.indices]),
+        np.concatenate([ids, M.column_ids()]),
+        np.concatenate([np.ones(M.dim), s * M.data]),
+    )
+
+
+def assert_same_csc(A, B):
+    """Equal dimension and bit-identical arrays of the same dtypes."""
+    assert (A.dim, A.q_max) == (B.dim, B.q_max)
+    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# magnitudes up to 1e300 and nonzero scales up to 4 neither overflow nor
+# make inf * 0, which would warn
+entry_values = st.one_of(
+    st.floats(-1e300, 1e300).filter(lambda x: x != 0.0),
+    st.sampled_from([1.0, -1.0, 2.0, 0.5, 1e-300, math.nan, math.inf, -math.inf]),
+)
+scales = st.one_of(
+    st.floats(-4.0, 4.0).filter(lambda x: x != 0.0),
+    st.sampled_from([-1.0, -0.85, -0.5, 1e-300]),
+)
+
+
+@st.composite
+def csc_matrices(draw, max_dim=7):
+    """Random patterns over every cell, so empty columns and stored
+    diagonals both occur; cell k is (k % dim, k // dim), in CSC order."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    mask = draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim))
+    cells = np.flatnonzero(mask)
+    vals = draw(st.lists(entry_values, min_size=cells.size, max_size=cells.size))
+    return CscMatrix.from_triplets(dim, cells % dim, cells // dim, vals)
+
+
+class TestPlusIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(M=csc_matrices(), s=scales)
+    def test_matches_from_triplets_bit_for_bit(self, M, s):
+        assert_same_csc(_plus_identity(M, s), plus_identity_reference(M, s))
+
+    @pytest.mark.parametrize("dense, s", [
+        ([[2.0, 1.0], [0.0, 2.0]], -0.5),  # both diagonals cancel to exact zeros
+        ([[0.0, 1e-300], [3.0, 0.0]], 1e-300),  # the products underflow to zero
+        ([[5.0]], -0.2),
+        ([[float("nan"), 0.0], [-1.0, 0.0]], -1.0),
+    ])
+    def test_exact_zeros_and_nan(self, dense, s):
+        M = CscMatrix.from_dense(dense)
+        assert_same_csc(_plus_identity(M, s), plus_identity_reference(M, s))
+
+    def test_g_of_identity_has_no_entries(self):
+        rows, cols, mags = _abs_g_entries(identity(5))
+        assert rows.size == cols.size == mags.size == 0
+        assert diagnostics(identity(5)).g_norm1 == 0.0
+
+
+class TestDiagnosticsOnEveryBacking:
+    # figures of the from_triplets construction of G = I - A, as floats
+    PINNED = {
+        "signed": (0.8524797241961741, 3.6592730832285607, 1.953594055230676),
+        "pagerank": (0.85, 3.6036036036036028, 3.6036036036017163),
+    }
+
+    @staticmethod
+    def matrices():
+        signed = random_contraction_system(np.random.default_rng(7), 12, nonnegative=False)[0]
+        pagerank = build_problem(synth_bounded_outdegree(40, 3, seed=9), 0.85, source=0).A
+        return {"signed": signed, "pagerank": pagerank}
+
+    @pytest.mark.parametrize("name", ["signed", "pagerank"])
+    def test_figures_match_pins(self, name):
+        A = self.matrices()[name]
+        for B in (A, DenseColumnMatrix(densify(A)), FunctionColumnMatrix(A.dim, A.column)):
+            d = diagnostics(B)
+            assert (d.g_norm1, d.m_g_simple, d.m_g_series) == self.PINNED[name], type(B).__name__
+            assert matrix_norm1_of_g(B) == self.PINNED[name][0]
 
 
 class TestApply:

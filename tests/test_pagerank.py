@@ -1,10 +1,15 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsri import (
+    CscMatrix,
     EdgeList,
+    assemble,
     build_problem,
     densify,
     load_edge_list,
@@ -168,6 +173,111 @@ class TestBuildProblem:
             build_problem(edges, 0.85, source=2)
 
 
+def reference_matrices(edges, alpha, source):
+    """P and A = I - alpha P through from_triplets: the distinct pairs, a
+    dangling column's entry (source, 1.0) after them, then I's triplets
+    followed by those of -alpha P."""
+    n = edges.node_count
+    keys = np.unique(edges.src * n + edges.dst)
+    src, dst = keys // n, keys % n
+    out_deg = np.bincount(src, minlength=n)
+    dangling = np.flatnonzero(out_deg == 0)
+    P = CscMatrix.from_triplets(
+        n,
+        np.concatenate([dst, np.full(dangling.size, source)]),
+        np.concatenate([src, dangling]),
+        np.concatenate([1.0 / out_deg[src], np.ones(dangling.size)]),
+    )
+    ids = np.arange(n)
+    A = CscMatrix.from_triplets(
+        n,
+        np.concatenate([ids, P.indices]),
+        np.concatenate([ids, P.column_ids()]),
+        np.concatenate([np.ones(n), -alpha * P.data]),
+    )
+    return P, A
+
+
+def same_bits(A, B):
+    return A.dim == B.dim and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data))
+    )
+
+
+@st.composite
+def edge_lists(draw, max_nodes=9):
+    """Small graphs with duplicate edges, self loops and dangling nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    return EdgeList(n, src, dst, {i: i for i in range(n)})
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def problem_digests(prob):
+    P, A, b = prob.P, prob.A, prob.b
+    return (digest(P.indptr, P.indices, P.data), digest(A.indptr, A.indices, A.data),
+            digest(b.indices, b.values))
+
+
+def messy_edges():
+    """50 nodes: 303 edges over 203 distinct pairs, self loops at 0, 2
+    (twice) and 17, and dangling nodes 40..49."""
+    k = np.arange(300)
+    src = np.concatenate([(7 * k) % 40, [0, 2, 2, 17]])
+    dst = np.concatenate([(13 * k + 5) % 50, [0, 2, 2, 17]])
+    return EdgeList(50, src, dst, {i: i for i in range(50)})
+
+
+class TestDirectBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(edges=edge_lists(), alpha=st.floats(0.01, 0.99), data=st.data())
+    def test_matches_from_triplets_bit_for_bit(self, edges, alpha, data):
+        source = data.draw(st.integers(min_value=0, max_value=edges.node_count - 1))
+        prob = build_problem(edges, alpha, source)
+        P, A = reference_matrices(edges, alpha, source)
+        assert same_bits(prob.P, P) and same_bits(prob.A, A)
+
+    def test_assemble_drops_an_exact_zero_diagonal(self):
+        # 1 - 0.5 * 2.0 is exactly zero, so A keeps only the off-diagonal entry
+        P = CscMatrix.from_dense([[2.0, 0.0], [0.0, 0.0]])
+        A, b = assemble(P, 0.5, SparseVector.basis(2, 0))
+        assert (A.indptr.tolist(), A.indices.tolist(), A.data.tolist()) == ([0, 0, 1], [1], [1.0])
+        assert b.values.tolist() == [0.5]
+
+    # SHA-256 of the from_triplets construction's arrays
+    PINNED = {
+        "messy": (
+            "710b00a86f7e9dd919553dff6462571b0ea53ded4a21b14c5ab82fa3b05dc617",
+            "65b69739f571b253346e0c0ac422b06575a3f91ed7f6144a88900f0e97090ea7",
+            "a7e3b70eb3c1d127da19af858d9457ed93a20b6ca46ce7121117e79d4f17d2e7",
+        ),
+        "test_08": (
+            "944af4f6e89da725ebe4818e159fd69148c33427f50c37aadc058ae82b036068",
+            "b87e6dc10aabe62e560fc7d1917673f5edf204bbeff705f2918227710a99e56f",
+            "105504718c06d0530e6d17a96785dcd48ddcb2b52cb655eccbe6c692c8a2b9c2",
+        ),
+    }
+
+    def test_messy_graph_is_pinned(self):
+        edges = messy_edges()
+        assert not np.bincount(edges.src, minlength=50)[45]  # the source is dangling
+        assert problem_digests(build_problem(edges, 0.85, source=45)) == self.PINNED["messy"]
+
+    def test_08_graph_is_pinned(self):
+        edges = synth_bounded_outdegree(3000, 3, seed=88)
+        assert problem_digests(build_problem(edges, 0.85, source=0)) == self.PINNED["test_08"]
+
+
 class TestSynthBoundedOutdegree:
     def test_single_node_self_loop(self):
         edges = synth_bounded_outdegree(1, 2, seed=0)
@@ -200,6 +310,12 @@ class TestSynthBoundedOutdegree:
         exponent = np.log(1 / alpha) / np.log(q)
         for i in range(1, tails.size):
             assert tails[i] <= (1 / alpha) * i ** (-exponent) + 1e-12
+
+    def test_edges_are_pinned(self):
+        edges = synth_bounded_outdegree(3000, 3, seed=88)
+        assert digest(edges.src, edges.dst) == (
+            "035c22ec699ec730a0ffa686f2acd999e7d9281a0e3874c641737fc9bd63edbf"
+        )
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
