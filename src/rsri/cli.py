@@ -167,11 +167,11 @@ def _cmd_pagerank(args) -> int:
     cfg = _config(args, args.m)
     report = rsri(problem.A, problem.b, cfg, RandomStream(cfg.seed))
     est = report.estimate
-    label_of = {dense: label for label, dense in edges.id_map.items()}
     order = np.argsort(-est.values)[: args.topk]
+    nodes = edges.labels[est.indices[order]].tolist()
     print("rank,node,score")
-    for rank, pos in enumerate(order, start=1):
-        print(f"{rank},{label_of[int(est.indices[pos])]},{_fmt(est.values[pos])}")
+    for rank, (node, score) in enumerate(zip(nodes, est.values[order]), start=1):
+        print(f"{rank},{node},{_fmt(score)}")
     if args.out:
         _emit(_estimate_csv(est), args.out)
     return 0

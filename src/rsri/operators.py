@@ -128,7 +128,6 @@ class CscMatrix(ColumnMatrix):
 
     def _fill(self, dim, indptr, indices, data):
         self.dim, self.indptr, self.indices, self.data = dim, indptr, indices, data
-        self.q_max = int(np.diff(indptr).max())
         self._row_blocks = None
         for arr in (indptr, indices, data):
             arr.setflags(write=False)
@@ -153,6 +152,10 @@ class CscMatrix(ColumnMatrix):
         self._check_index(j)
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return SparseVector._make(self.dim, self.indices[lo:hi], self.data[lo:hi])
+
+    @property
+    def q_max(self) -> int:  # entries in the densest column
+        return int(np.diff(self.indptr).max())
 
     def column_ids(self) -> np.ndarray:
         """Column of each stored entry, in CSC order."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CscMatrix, _insert, _plus_identity, _read_table
-from .vectors import SparseVector, _stable_order, index_array
+from .vectors import SparseVector, _stable_order, check_int, index_array
 
 __all__ = [
     "EdgeList",
@@ -30,27 +30,37 @@ STOCHASTIC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Directed edges over dense integer indices plus the original-label map."""
+    """Directed edges over dense ids; ``labels[i]``, the original label of id
+    ``i``, is the identity by default.  Distinct labels are the caller's contract."""
 
     node_count: int
     src: np.ndarray
     dst: np.ndarray
-    id_map: dict[int, int]
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
+        n = check_int(self.node_count, "node_count")
+        if n < 1:
+            raise ValueError("node_count must be >= 1")
         src = index_array(self.src, "src")
         dst = index_array(self.dst, "dst")
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
-        if src.size and (src.min() < 0 or dst.min() < 0
-                         or max(src.max(), dst.max()) >= self.node_count):
+        if src.size and (src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError("edge endpoints out of range")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
+        labels = index_array(np.arange(n) if self.labels is None else self.labels, "labels")
+        if labels.shape != (n,):
+            raise ValueError("labels must have shape (node_count,)")
+        for name, value in (("node_count", n), ("src", src), ("dst", dst), ("labels", labels)):
+            object.__setattr__(self, name, value)
 
     @property
     def edge_count(self) -> int:
         return int(self.src.size)
+
+    @property
+    def id_map(self) -> dict[int, int]:  # label -> dense id, built afresh on each read
+        return dict(zip(self.labels.tolist(), range(self.node_count)))
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,7 @@ class PageRankProblem:
 
 def load_edge_list(path) -> EdgeList:
     """Parse a whitespace edge list with '#' comments; columns after 'from to' are ignored.
-
-    Labels are remapped to 0..N-1 in first-appearance order; the map is
-    retained so reports can name original nodes.
-    """
+    Labels become dense ids 0..N-1 in first-appearance order; ``labels`` maps ids back."""
     table = _read_table(path, np.dtype([("from", np.int64), ("to", np.int64)]), "#")
     if not table.size:
         raise ValueError("edge list contains no edges")
@@ -93,14 +100,7 @@ def load_edge_list(path) -> EdgeList:
     seen[firsts] = True
     ids = np.empty(flat.size, dtype=np.int64)
     ids[order] = (np.cumsum(seen) - 1)[firsts][np.cumsum(new) - 1]
-    src, dst = ids.reshape(-1, 2).T
-    labels = flat[seen]
-    return EdgeList(
-        node_count=labels.size,
-        src=src,
-        dst=dst,
-        id_map=dict(zip(labels.tolist(), range(labels.size))),
-    )
+    return EdgeList(int(firsts.size), *ids.reshape(-1, 2).T, flat[seen])
 
 
 def _distinct_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,13 +160,12 @@ def synth_bounded_outdegree(N: int, q: int, seed: int) -> EdgeList:
     Deterministic in the seed; duplicate draws collapse, which is how the
     out-degree stays in [1, q].
     """
-    if N < 1:
+    if check_int(N, "N") < 1:
         raise ValueError("N must be >= 1")
-    if q < 2:
+    if check_int(q, "q") < 2:
         raise ValueError("q must be >= 2")
     rng = np.random.default_rng(seed)
     degrees = rng.integers(1, q + 1, size=N)
     src = np.repeat(np.arange(N, dtype=np.int64), degrees)
     dst = rng.integers(0, N, size=int(degrees.sum()), dtype=np.int64)
-    src, dst = _distinct_edges(N, src, dst)
-    return EdgeList(node_count=N, src=src, dst=dst, id_map={i: i for i in range(N)})
+    return EdgeList(N, *_distinct_edges(N, src, dst))

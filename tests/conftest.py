@@ -41,12 +41,7 @@ def random_contraction_system(rng, n, g_norm_max=0.9, density=0.4, nonnegative=T
 
 
 def three_cycle_problem(alpha=0.85, source=0):
-    edges = EdgeList(
-        3,
-        np.array([0, 1, 2], dtype=np.int64),
-        np.array([1, 2, 0], dtype=np.int64),
-        {i: i for i in range(3)},
-    )
+    edges = EdgeList(3, np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 0], dtype=np.int64))
     return build_problem(edges, alpha, source)
 
 

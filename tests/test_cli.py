@@ -1,8 +1,15 @@
+import hashlib
+
 import pytest
 
 from rsri.cli import _emit, cli_main
 
 THREE_CYCLE = "0 1\n1 2\n2 0\n"
+SCATTERED = (
+    "# labels scattered, negative and above 2**32\n"
+    "-5 8589934599\n8589934599 40\n40 -1099511627776\n-1099511627776 -5\n"
+    "40 9000000001\n9000000001 -5\n-5 40\n4294967296 8589934599\n"
+)
 IDENTITY_MM = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
 
 
@@ -130,6 +137,23 @@ class TestPagerank:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert first[1] == "0"
+
+    def test_prints_original_labels(self, tmp_path, capsys):
+        path = tmp_path / "scattered.txt"
+        path.write_text(SCATTERED)
+        code = cli_main(["pagerank", str(path), "--m", "4", "--t", "60", "--seed", "3",
+                         "--topk", "6"])
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0] == "rank,node,score"
+        labels = {int(tok) for line in SCATTERED.splitlines()[1:] for tok in line.split()}
+        assert lines[1].split(",")[1] == "-5"  # the source, dense id 0
+        assert {int(line.split(",")[1]) for line in lines[1:]} <= labels
+        # the whole table, pinned: ranks, labels and scores
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8dc9906bf8d0a1b678d135dcd6318766fabeedad638c4402fad54893dc270b45"
+        )
 
     def test_estimate_file(self, cycle_file, tmp_path, capsys):
         out = tmp_path / "est.csv"

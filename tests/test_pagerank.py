@@ -90,6 +90,7 @@ class TestLoadEdgeList:
         for label in labels.ravel().tolist():
             id_map.setdefault(label, len(id_map))
         assert list(edges.id_map.items()) == list(id_map.items())
+        np.testing.assert_array_equal(edges.labels, list(id_map))
         np.testing.assert_array_equal(edges.src, [id_map[u] for u in labels[:, 0].tolist()])
         np.testing.assert_array_equal(edges.dst, [id_map[v] for v in labels[:, 1].tolist()])
 
@@ -103,6 +104,42 @@ class TestLoadEdgeList:
         assert list(edges.id_map.items()) == [(high, 0), (low, 1), (5, 2), (-7, 3)]
         np.testing.assert_array_equal(edges.src, [0, 2, 1, 2, 3])
         np.testing.assert_array_equal(edges.dst, [1, 0, 2, 2, 0])
+
+
+class TestEdgeList:
+    def test_labels_default_to_identity(self):
+        edges = EdgeList(3, np.array([0]), np.array([2]))
+        assert edges.labels.dtype == np.int64
+        np.testing.assert_array_equal(edges.labels, [0, 1, 2])
+        assert edges.id_map == {0: 0, 1: 1, 2: 2}
+
+    def test_id_map_follows_labels(self):
+        edges = EdgeList(3, np.array([0, 1]), np.array([1, 2]), np.array([2**40, -3, 7]))
+        assert list(edges.id_map.items()) == [(2**40, 0), (-3, 1), (7, 2)]
+
+    @pytest.mark.parametrize("count", [True, 2.5, np.float64(2.0), "2"])
+    def test_non_integer_node_count_rejected(self, count):
+        with pytest.raises(TypeError, match="node_count must be an integer"):
+            EdgeList(count, np.array([0]), np.array([0]))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_node_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="node_count must be >= 1"):
+            EdgeList(count, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+    def test_numpy_node_count_becomes_int(self):
+        edges = EdgeList(np.int32(2), np.array([0]), np.array([1]))
+        assert type(edges.node_count) is int and edges.node_count == 2
+
+    @pytest.mark.parametrize("labels", [{0: 0, 1: 1}, np.array([0.0, 1.0]), ["a", "b"]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(TypeError, match="labels must have an integer dtype"):
+            EdgeList(2, np.array([0]), np.array([1]), labels)
+
+    @pytest.mark.parametrize("labels", [[5], [5, 6, 7], [[5, 6]], 5])
+    def test_wrong_labels_shape_rejected(self, labels):
+        with pytest.raises(ValueError, match=r"labels must have shape \(node_count,\)"):
+            EdgeList(2, np.array([0]), np.array([1]), np.array(labels))
 
 
 class TestBuildProblem:
@@ -123,14 +160,14 @@ class TestBuildProblem:
         assert x[0] > x[1] > x[2]
 
     def test_dangling_rule(self):
-        edges = EdgeList(2, np.array([0]), np.array([1]), {0: 0, 1: 1})
+        edges = EdgeList(2, np.array([0]), np.array([1]))
         prob = build_problem(edges, 0.85, source=0)
         P = densify(prob.P)
         np.testing.assert_array_equal(P[:, 1], [1.0, 0.0])  # dangling -> e_source
         np.testing.assert_array_equal(P[:, 0], [0.0, 1.0])
 
     def test_duplicate_edges_collapse(self):
-        edges = EdgeList(3, np.array([0, 0, 0]), np.array([1, 1, 2]), {i: i for i in range(3)})
+        edges = EdgeList(3, np.array([0, 0, 0]), np.array([1, 1, 2]))
         prob = build_problem(edges, 0.85, source=0)
         np.testing.assert_allclose(densify(prob.P)[:, 0], [0.0, 0.5, 0.5])
 
@@ -138,7 +175,7 @@ class TestBuildProblem:
         k = 5
         src = np.concatenate([np.zeros(k, dtype=np.int64), np.arange(1, k + 1)])
         dst = np.concatenate([np.arange(1, k + 1), np.zeros(k, dtype=np.int64)])
-        edges = EdgeList(k + 1, src, dst, {i: i for i in range(k + 1)})
+        edges = EdgeList(k + 1, src, dst)
         prob = build_problem(edges, 0.85, source=0)
         P = densify(prob.P)
         np.testing.assert_allclose(P[0, 1:], np.ones(k))  # leaves point back to hub
@@ -163,10 +200,10 @@ class TestBuildProblem:
     @pytest.mark.parametrize("src, dst, name", [([0.5], [1], "src"), ([0], [1.0], "dst")])
     def test_non_integer_endpoints_rejected(self, src, dst, name):
         with pytest.raises(TypeError, match=f"{name} must have an integer dtype"):
-            EdgeList(2, np.array(src), np.array(dst), {0: 0, 1: 1})
+            EdgeList(2, np.array(src), np.array(dst))
 
     def test_validation(self):
-        edges = EdgeList(2, np.array([0]), np.array([1]), {0: 0, 1: 1})
+        edges = EdgeList(2, np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             build_problem(edges, 1.0, source=0)
         with pytest.raises(ValueError):
@@ -213,7 +250,7 @@ def edge_lists(draw, max_nodes=9):
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
     src = np.array([u for u, _ in pairs], dtype=np.int64)
     dst = np.array([v for _, v in pairs], dtype=np.int64)
-    return EdgeList(n, src, dst, {i: i for i in range(n)})
+    return EdgeList(n, src, dst)
 
 
 def digest(*arrays):
@@ -235,7 +272,7 @@ def messy_edges():
     k = np.arange(300)
     src = np.concatenate([(7 * k) % 40, [0, 2, 2, 17]])
     dst = np.concatenate([(13 * k + 5) % 50, [0, 2, 2, 17]])
-    return EdgeList(50, src, dst, {i: i for i in range(50)})
+    return EdgeList(50, src, dst)
 
 
 class TestDirectBuild:
@@ -320,3 +357,11 @@ class TestSynthBoundedOutdegree:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             synth_bounded_outdegree(10, 1, seed=0)
+
+    @pytest.mark.parametrize("N, q", [(5, 3.5), (5.0, 3), (True, 3), (5, np.float64(3.0))])
+    def test_rejects_non_integer_sizes(self, N, q):
+        with pytest.raises(TypeError, match="must be an integer"):
+            synth_bounded_outdegree(N, q, seed=1)
+
+    def test_labels_are_the_identity(self):
+        np.testing.assert_array_equal(synth_bounded_outdegree(4, 2, seed=0).labels, np.arange(4))
