@@ -177,30 +177,29 @@ def _cmd_pagerank(args) -> int:
     return 0
 
 
+def _problem_and_oracle(args):
+    """The personalized problem of the edge-list file and its reference solution."""
+    problem = build_problem(load_edge_list(args.edges), args.alpha, args.source)
+    return problem, reference_solve(problem.A, problem.b, tol=args.oracle_tol)
+
+
 def _cmd_sweep(args) -> int:
-    edges = load_edge_list(args.edges)
-    problem = build_problem(edges, args.alpha, args.source)
-    cfg = _config(args, args.m[0], trials=args.trials)
+    cfg = _config(args, args.m[0], trials=args.trials)  # a bad config fails before the solve
+    problem, oracle = _problem_and_oracle(args)
     csv_path = args.out or "sweep.csv"
     svg_path = str(Path(csv_path).with_suffix(".svg"))
-    oracle = reference_solve(problem.A, problem.b, tol=args.oracle_tol)
     run_sweep(problem, cfg, args.m, oracle, csv_path=csv_path, svg_path=svg_path)
     print(f"wrote {csv_path} and {svg_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_tail(args) -> int:
-    edges = load_edge_list(args.edges)
-    problem = build_problem(edges, args.alpha, args.source)
-    oracle = reference_solve(problem.A, problem.b, tol=args.oracle_tol)
-    _emit(tail_report(oracle), args.out)
+    _emit(tail_report(_problem_and_oracle(args)[1]), args.out)
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    edges = load_edge_list(args.edges)
-    problem = build_problem(edges, args.alpha, args.source)
-    oracle = reference_solve(problem.A, problem.b, tol=args.oracle_tol)
+    problem, oracle = _problem_and_oracle(args)
     if args.kind == "mc":
         est = mc_surfer(problem.P, problem.s, args.alpha, args.m, RandomStream(args.seed))
         err = float(np.linalg.norm(est.to_dense() - oracle))

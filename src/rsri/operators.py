@@ -84,6 +84,7 @@ class ColumnMatrix:
 
 
 ROW_BLOCK_BITS = 16  # a row block's slice of a dense product is 2**16 doubles, 512 KB
+SERIES_TERM_TOL = 1e-12  # the diagnostics' series has converged once a term drops below this
 
 
 class CscMatrix(ColumnMatrix):
@@ -236,12 +237,13 @@ def g_column(A: ColumnMatrix, j: int) -> SparseVector:
     return combine(1.0, SparseVector.basis(A.dim, j), -1.0, A.column(j))
 
 
-def _entries(A: ColumnMatrix):
-    """Flat (rows, column ids, values) of every stored entry, in column
-    order: one gather of all the columns."""
-    ids = np.arange(A.dim)
-    rows, vals, counts = A.gather(ids, np.ones(A.dim))
-    return rows, np.repeat(ids, counts), vals
+def _csc(A: ColumnMatrix) -> CscMatrix:
+    """A as a CscMatrix: A itself, or one gather of all its columns, which
+    is in CSC order."""
+    if isinstance(A, CscMatrix):
+        return A
+    rows, vals, counts = A.gather(np.arange(A.dim), np.ones(A.dim))
+    return CscMatrix._make(A.dim, np.append(0, np.cumsum(counts)), rows, vals)
 
 
 def _insert(slots: np.ndarray, *pairs) -> list[np.ndarray]:
@@ -288,19 +290,17 @@ def _plus_identity(M: CscMatrix, s: float) -> CscMatrix:
     return CscMatrix._make(n, indptr, rows, vals)
 
 
-def _abs_g_entries(A: ColumnMatrix):
-    """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|."""
-    if not isinstance(A, CscMatrix):  # a gather of every column is in CSC order
-        rows, vals, counts = A.gather(np.arange(A.dim), np.ones(A.dim))
-        A = CscMatrix._make(A.dim, np.append(0, np.cumsum(counts)), rows, vals)
-    G = _plus_identity(A, -1.0)
-    return G.indices, G.column_ids(), np.abs(G.data)
+def _abs_g(A: ColumnMatrix):
+    """Flat (rows, column ids, magnitudes) of the nonzeros of |I - A|, and
+    ||I - A||_1, their largest column sum."""
+    G = _plus_identity(_csc(A), -1.0)
+    ids, mags = G.column_ids(), np.abs(G.data)
+    return G.indices, ids, mags, float(np.bincount(ids, weights=mags, minlength=A.dim).max())
 
 
 def matrix_norm1_of_g(A: ColumnMatrix) -> float:
     """Max absolute column sum of I - A (full column sweep; diagnostics only)."""
-    _, ids, mags = _abs_g_entries(A)
-    return float(np.bincount(ids, weights=mags, minlength=A.dim).max())
+    return _abs_g(A)[3]
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,14 @@ class ContractionDiagnostics:
     is_contraction: bool
 
 
-def diagnostics(A: ColumnMatrix, series_terms: int = 10_000, term_tol: float = 1e-12) -> ContractionDiagnostics:
+def diagnostics(A: ColumnMatrix, series_terms: int = 10_000) -> ContractionDiagnostics:
     """Contraction summary for G = I - A.
 
     The series sum_s ||abs(G)^s||_1^2 is evaluated by propagating the
     vector of column-sum functionals through abs(G), never by forming
     powers; it is reported as +inf when not converged by the term cap.
     """
-    rows, ids, mags = _abs_g_entries(A)
-    g1 = float(np.bincount(ids, weights=mags, minlength=A.dim).max())
+    rows, ids, mags, g1 = _abs_g(A)
     simple = 1.0 / (1.0 - g1 * g1) if g1 < 1.0 else math.inf
 
     u = np.ones(A.dim)
@@ -331,7 +330,7 @@ def diagnostics(A: ColumnMatrix, series_terms: int = 10_000, term_tol: float = 1
             if not math.isfinite(term):
                 break
             series += term
-            if term < term_tol:
+            if term < SERIES_TERM_TOL:
                 converged = True
                 break
             u = np.bincount(ids, weights=u[rows] * mags, minlength=A.dim)
@@ -368,9 +367,9 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
 
 def densify(A: ColumnMatrix) -> np.ndarray:
     """Materialize the matrix (small problems only)."""
-    rows, cols, vals = _entries(A)
+    C = _csc(A)
     out = np.zeros((A.dim, A.dim))
-    out[rows, cols] = vals
+    out[C.indices, C.column_ids()] = C.data
     return out
 
 
@@ -458,10 +457,7 @@ def load_matrix_market(path) -> CscMatrix:
 
 def save_matrix_market(A: ColumnMatrix, path):
     """Write any column matrix as coordinate real general, 1-based."""
-    rows, cols, vals = _entries(A)
-    out = [
-        "%%MatrixMarket matrix coordinate real general",
-        f"{A.dim} {A.dim} {vals.size}",
-        *("%d %d %.17g" % e for e in zip((rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())),
-    ]
-    Path(path).write_text("\n".join(out) + "\n")
+    C = _csc(A)
+    entries = zip((C.indices + 1).tolist(), (C.column_ids() + 1).tolist(), C.data.tolist())
+    header = f"%%MatrixMarket matrix coordinate real general\n{A.dim} {A.dim} {C.data.size}\n"
+    Path(path).write_text(header + "".join("%d %d %.17g\n" % e for e in entries))

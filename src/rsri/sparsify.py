@@ -42,8 +42,10 @@ class PreservationSplit:
     with T(q) the tail of the same rearrangement that decided admission,
     and is strictly below one except in the degenerate all-admitted case.
     The ``*_positions`` are the storage positions of those indices in v.
-    For stacked vectors every field, and q, covers all of them; vector k
-    has ``_q[k]`` and its residual from ``_bounds[k]`` to ``_bounds[k + 1]``.
+    For stacked vectors every field, and q, covers all of them.  The split
+    checks the levels once and keeps each draw target, level - q: one int
+    in ``_targets``, or ``_targets[k]`` for vector k, whose residual runs
+    from ``_bounds[k]`` to ``_bounds[k + 1]``.
     """
 
     dim: int
@@ -52,7 +54,7 @@ class PreservationSplit:
     residual_probs: np.ndarray
     exact_positions: np.ndarray
     residual_positions: np.ndarray
-    _q: np.ndarray = field(default=None, repr=False, compare=False)
+    _targets: Union[int, np.ndarray] = field(default=None, repr=False, compare=False)
     _bounds: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -82,9 +84,8 @@ def preservation_split(
     exact, probs = _split_one(v, m)
     exact_pos = exact.nonzero()[0]
     res_pos = (~exact).nonzero()[0]
-    return PreservationSplit(
-        v.dim, v.indices[exact_pos], v.indices[res_pos], probs[res_pos], exact_pos, res_pos
-    )
+    return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs[res_pos],
+                             exact_pos, res_pos, m - exact_pos.size)
 
 
 def _levels(m, levels, rows: int):
@@ -135,12 +136,13 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
     row of a zero-padded array whose padding adds exact zeros, so it sees
     its own operands in the order the one-vector split does."""
     bounds = np.searchsorted(v.indices, np.arange(rows + 1) * (v.dim // rows))
-    q = bounds[1:] - bounds[:-1]  # a vector of at most its m entries is kept whole
-    big = (q > m).nonzero()[0]
+    n = bounds[1:] - bounds[:-1]
+    targets = m - n  # a vector of at most its m entries is kept whole
+    big = (targets < 0).nonzero()[0]
     if not big.size:  # every vector is kept whole
         return PreservationSplit(v.dim, v.indices, bounds[:0], np.zeros(0), np.arange(v.nnz),
-                                 bounds[:0], q, np.zeros_like(bounds))
-    n, m = q[big], m[big] if isinstance(m, np.ndarray) else m
+                                 bounds[:0], targets, np.zeros_like(bounds))
+    n, m = n[big], m[big] if isinstance(m, np.ndarray) else m
     start = n.cumsum() - n  # of each big vector among theirs
     pos = np.arange(n.sum()) + np.repeat(bounds[big] - start, n)
     a = np.abs(v.values[pos])
@@ -154,7 +156,8 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
         admit = (dec[:, : k.size] * (m[:, None] - k) >= tails[:, : k.size]) | (k >= m[:, None])
     else:
         admit = dec[:, :m] * (m - np.arange(m)) >= tails[:, :m]
-    q[big] = q_big = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
+    q_big = np.where(admit.all(axis=1), m, admit.argmin(axis=1))
+    targets[big] = draw = m - q_big
     t_q = tails[np.arange(n.size), q_big]
     # D: the magnitudes above |v|_(q-1), then the first ties at it by position
     floor = np.where(q_big > 0, dec[np.arange(n.size), np.maximum(q_big - 1, 0)], np.inf)
@@ -169,7 +172,7 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
     # degenerate vectors keep probability zero, as in _split_one
     live = np.repeat((q_big < m) & (t_q > 0.0), n - q_big)
     probs = np.zeros(res.size)
-    np.multiply(np.repeat(m - q_big, n - q_big), a[res], out=probs, where=live)
+    np.multiply(np.repeat(draw, n - q_big), a[res], out=probs, where=live)
     np.divide(probs, np.repeat(t_q, n - q_big), out=probs, where=live)
     res_pos = pos[res]
     exact = np.ones(v.nnz, dtype=bool)
@@ -177,7 +180,7 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
     exact_pos = exact.nonzero()[0]
     np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)
     return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs, exact_pos,
-                             res_pos, q, np.searchsorted(res_pos, bounds))
+                             res_pos, targets, np.searchsorted(res_pos, bounds))
 
 
 def sparsify(
@@ -197,8 +200,7 @@ def sparsify(
     holds at most its level's entries.
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
-    level = _levels(m, levels, len(streams))
-    if np.ndim(level) == 0 and v.nnz <= level:
+    if levels is None and v.nnz <= _levels(m, None, 1):
         return v
     split = preservation_split(v, m, len(streams), levels)
     res = split.residual_positions
@@ -206,9 +208,9 @@ def sparsify(
         return v
     # split probabilities honor the ProbabilityVector contract by construction
     if len(streams) == 1:
-        chosen = _pivotal_positions(split.residual_probs, level - split.q, streams[0])
+        chosen = _pivotal_positions(split.residual_probs, split._targets, streams[0])
     else:
-        chosen = _pivotal_rows(split.residual_probs, split._bounds, level - split._q, streams)
+        chosen = _pivotal_rows(split.residual_probs, split._bounds, split._targets, streams)
     pos = res[chosen]
     keep = np.ones(v.nnz, dtype=bool)
     keep[res] = False

@@ -65,8 +65,8 @@ class TestEstimateRmse:
         x = reference_solve(prob.A, prob.b)
         cfg = RsriConfig(m=3, t=30, t_min=10, seed=0, trials=4)
         est = estimate_rmse(prob, cfg, x)
-        # expected_average rides on a reference solve with 1e-12 residual,
-        # so agreement is limited by the oracle tolerance, not the solver
+        # at m = dim every run is the Richardson average that expected_average
+        # sums densely; the two sums agree to rounding
         expected = float(np.linalg.norm(expected_average(prob.A, prob.b, 30, 10) - x))
         assert est.variance_est == 0.0
         assert est.rmse == pytest.approx(expected, rel=1e-6)

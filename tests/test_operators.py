@@ -27,7 +27,7 @@ from rsri.operators import (
     MatrixMarketHeaderError,
     NonSquareMatrixError,
     PatternValuesError,
-    _abs_g_entries,
+    _abs_g,
     _plus_identity,
 )
 
@@ -218,6 +218,10 @@ class TestNormAndDiagnostics:
         assert d.g_norm1 == pytest.approx(absG.sum(axis=0).max(), rel=1e-12)
         assert d.m_g_series == pytest.approx(series, rel=1e-12)
 
+    def test_series_tolerance_is_fixed(self):
+        with pytest.raises(TypeError):
+            diagnostics(identity(3), term_tol=1e-6)
+
     def test_reads_each_column_once(self):
         dense = np.eye(6) - 0.1 * np.ones((6, 6))
         reads = []
@@ -296,7 +300,7 @@ class TestPlusIdentity:
         assert_same_csc(_plus_identity(M, s), plus_identity_reference(M, s))
 
     def test_g_of_identity_has_no_entries(self):
-        rows, cols, mags = _abs_g_entries(identity(5))
+        rows, cols, mags, _ = _abs_g(identity(5))
         assert rows.size == cols.size == mags.size == 0
         assert diagnostics(identity(5)).g_norm1 == 0.0
 

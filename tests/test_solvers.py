@@ -477,6 +477,26 @@ class TestExpectedAverage:
         A, b = nilpotent_system()
         np.testing.assert_allclose(expected_average(A, b, 10, 1), [1.5, 1.0], atol=1e-15)
 
+    def test_needs_no_contraction(self):
+        # ||G||_1 = 2: no reference solve converges, yet the mean iterate at
+        # step s is still the Richardson iterate s
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        b = sparse_from(2, [(0, 1.0), (1, 0.5)])
+        want = np.mean([richardson(A, b, s) for s in range(2, 6)], axis=0)
+        got = expected_average(A, b, 6, 2)
+        assert got.tolist() == want.tolist() == [21.0, 22.5]
+
+    def test_overflowing_iterates_raise(self):
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        b = sparse_from(2, [(0, 1.0), (1, 0.5)])
+        with pytest.raises(NonConvergenceError, match="overflowed by step 1999"):
+            expected_average(A, b, 2000, 1000)
+
+    def test_takes_no_tolerance(self):
+        A, b = nilpotent_system()
+        with pytest.raises(TypeError):
+            expected_average(A, b, 10, 1, tol=1e-6)
+
     def test_matches_dense_formula(self, np_rng):
         A, b, G, b_dense = random_contraction_system(np_rng, 10)
         t, t_min = 12, 4

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 from fractions import Fraction
 
@@ -438,6 +439,21 @@ class TestStackedRuns:
             start += run.nnz
         # each run read exactly its own uniforms
         assert [s.random() for s in streams] == [s.random() for s in lone_streams]
+
+    def test_mixed_levels_are_checked_once(self, monkeypatch):
+        # the split checks the levels and hands sparsify each draw target
+        module = importlib.import_module("rsri.sparsify")
+        check, calls = module._levels, []
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(module, "_levels", counted)
+        v = stack([worked_vector(), worked_vector()])
+        out = sparsify(v, 3, [RandomStream(1), RandomStream(2)], np.array([3, 2]))
+        assert len(calls) == 1
+        assert out.nnz == 5
 
     def test_stacked_draw_is_pinned(self):
         # SHA-256 of the little-endian int64 indices, then the float64 values
