@@ -85,22 +85,26 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _richardson_iterates(A: ColumnMatrix, b: SparseVector):
-    """The iterates x_0 = b, x_s = (I - A) x_(s-1) + b, one at a time."""
+def _richardson_steps(A: ColumnMatrix, b: SparseVector):
+    """Yield (x, ||r||_1) with r = b - A x for x = b, then x += r in place,
+    one ``apply`` per step; the caller's loop sets ``np.errstate``."""
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
     b_dense = b.to_dense()
     x = b_dense.copy()
+    mags = np.empty_like(x)
     while True:
-        yield x
-        x = x - apply(A, x) + b_dense
+        residual = apply(A, x)
+        np.subtract(b_dense, residual, out=residual)
+        yield x, float(np.abs(residual, out=mags).sum())
+        x += residual
 
 
 def richardson(A: ColumnMatrix, b: SparseVector, t: int) -> np.ndarray:
-    """t steps of x <- (I - A) x + b starting from x = b."""
+    """t steps of x <- x + (b - A x) from x = b; NonConvergenceError on overflow."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return next(itertools.islice(_richardson_iterates(A, b), t, None))
+    return expected_average(A, b, t + 1, t)
 
 
 def reference_solve(
@@ -108,31 +112,21 @@ def reference_solve(
 ) -> np.ndarray:
     """Richardson until the 1-norm residual drops below tol (oracle solves).
 
-    One ``apply`` per step; the residual, its magnitudes and x are then
-    updated in place, in the order of r = b - A x, |r|, x += r, so the
-    result is bit-identical to the out-of-place loop.  The first product
-    builds a CSC matrix's row-blocked copy, which later solves reuse.
+    Its loop is that of richardson and expected_average: one ``apply``
+    per step, x updated in place.  The first product builds a CSC
+    matrix's row-blocked copy, which later solves reuse.
 
     Raises NonConvergenceError after max_iter steps, or as soon as the
     residual overflows, which happens when G = I - A is not a contraction.
     """
-    if b.dim != A.dim:
-        raise ValueError("dimension mismatch between A and b")
-    b_dense = b.to_dense()
-    x = b_dense.copy()
-    mags = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max_iter + 1):
-            residual = apply(A, x)
-            np.subtract(b_dense, residual, out=residual)
-            res_norm = float(np.abs(residual, out=mags).sum())
+        for step, (x, res_norm) in zip(range(max_iter + 1), _richardson_steps(A, b)):
             if res_norm <= tol:
                 return x
             if not math.isfinite(res_norm):
                 raise NonConvergenceError(
                     f"residual diverged to {res_norm} after {step} iterations", res_norm
                 )
-            x += residual
     raise NonConvergenceError(
         f"no convergence within {max_iter} iterations (residual {res_norm:.3e})", res_norm
     )
@@ -355,8 +349,11 @@ def expected_average(A: ColumnMatrix, b: SparseVector, t: int, t_min: int) -> np
     """
     if not 0 <= t_min < t:
         raise ValueError("need 0 <= t_min < t")
+    mean = np.zeros(A.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        mean = sum(itertools.islice(_richardson_iterates(A, b), t_min, t)) / (t - t_min)
+        for x, _ in itertools.islice(_richardson_steps(A, b), t_min, t):
+            mean += x
+        mean /= t - t_min
     if not np.isfinite(mean).all():
         raise NonConvergenceError(f"Richardson iterates overflowed by step {t - 1}", math.inf)
     return mean

@@ -37,32 +37,42 @@ __all__ = [
 class PreservationSplit:
     """Exact-preservation set plus inclusion probabilities for the rest.
 
-    ``exact_indices`` hold the q largest magnitudes (ties resolved toward
-    lower position); every residual probability is (m - q) |v_i| / T(q),
-    with T(q) the tail of the same rearrangement that decided admission,
-    and is strictly below one except in the degenerate all-admitted case.
-    The ``*_positions`` are the storage positions of those indices in v.
+    The split marks v's stored entries (``indices`` are v's): ``exact``
+    flags the q largest magnitudes, ties resolved toward lower position,
+    and ``probs`` is 0.0 there and (m - q) |v_i| / T(q) on the residual,
+    with T(q) the tail of the same rearrangement that decided admission;
+    it is strictly below one except in the degenerate all-admitted case.
     For stacked vectors every field, and q, covers all of them.  The split
     checks the levels once and keeps each draw target, level - q: one int
-    in ``_targets``, or ``_targets[k]`` for vector k, whose residual runs
-    from ``_bounds[k]`` to ``_bounds[k + 1]``.
+    in ``_targets``, or ``_targets[k]`` for vector k, which v stores from
+    ``_bounds[k]`` to ``_bounds[k + 1]``.
     """
 
     dim: int
-    exact_indices: np.ndarray
-    residual_indices: np.ndarray
-    residual_probs: np.ndarray
-    exact_positions: np.ndarray
-    residual_positions: np.ndarray
+    indices: np.ndarray
+    exact: np.ndarray
+    probs: np.ndarray
     _targets: Union[int, np.ndarray] = field(default=None, repr=False, compare=False)
     _bounds: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
-        return int(self.exact_indices.size)
+        return int(np.count_nonzero(self.exact))
+
+    @property
+    def exact_indices(self) -> np.ndarray:
+        return self.indices[self.exact]
+
+    @property
+    def residual_indices(self) -> np.ndarray:
+        return self.indices[~self.exact]
+
+    @property
+    def residual_probs(self) -> np.ndarray:
+        return self.probs[~self.exact]
 
     def residual_vector(self) -> ProbabilityVector:
-        return ProbabilityVector(int(self.residual_indices.size), self.residual_probs)
+        return ProbabilityVector(self.probs.size - self.q, self.residual_probs)
 
 
 def preservation_split(
@@ -82,10 +92,7 @@ def preservation_split(
     if rows > 1:
         return _split_stacked(v, m, rows)
     exact, probs = _split_one(v, m)
-    exact_pos = exact.nonzero()[0]
-    res_pos = (~exact).nonzero()[0]
-    return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs[res_pos],
-                             exact_pos, res_pos, m - exact_pos.size)
+    return PreservationSplit(v.dim, v.indices, exact, probs, m - np.count_nonzero(exact))
 
 
 def _levels(m, levels, rows: int):
@@ -140,8 +147,8 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
     targets = m - n  # a vector of at most its m entries is kept whole
     big = (targets < 0).nonzero()[0]
     if not big.size:  # every vector is kept whole
-        return PreservationSplit(v.dim, v.indices, bounds[:0], np.zeros(0), np.arange(v.nnz),
-                                 bounds[:0], targets, np.zeros_like(bounds))
+        return PreservationSplit(v.dim, v.indices, np.ones(v.nnz, dtype=bool), np.zeros(v.nnz),
+                                 targets, bounds)
     n, m = n[big], m[big] if isinstance(m, np.ndarray) else m
     start = n.cumsum() - n  # of each big vector among theirs
     pos = np.arange(n.sum()) + np.repeat(bounds[big] - start, n)
@@ -174,13 +181,10 @@ def _split_stacked(v: SparseVector, m, rows: int) -> PreservationSplit:
     probs = np.zeros(res.size)
     np.multiply(np.repeat(draw, n - q_big), a[res], out=probs, where=live)
     np.divide(probs, np.repeat(t_q, n - q_big), out=probs, where=live)
-    res_pos = pos[res]
-    exact = np.ones(v.nnz, dtype=bool)
-    exact[res_pos] = False
-    exact_pos = exact.nonzero()[0]
     np.minimum(probs, np.nextafter(1.0, 0.0), out=probs)
-    return PreservationSplit(v.dim, v.indices[exact_pos], v.indices[res_pos], probs, exact_pos,
-                             res_pos, targets, np.searchsorted(res_pos, bounds))
+    exact, all_probs = np.ones(v.nnz, dtype=bool), np.zeros(v.nnz)
+    exact[pos], all_probs[pos[res]] = admitted, probs
+    return PreservationSplit(v.dim, v.indices, exact, all_probs, targets, bounds)
 
 
 def sparsify(
@@ -203,21 +207,19 @@ def sparsify(
     if levels is None and v.nnz <= _levels(m, None, 1):
         return v
     split = preservation_split(v, m, len(streams), levels)
-    res = split.residual_positions
-    if not res.size:  # every vector holds at most its level's entries
+    if split.exact.all():  # every vector holds at most its level's entries
         return v
-    # split probabilities honor the ProbabilityVector contract by construction
+    # split probabilities honor the ProbabilityVector contract by construction;
+    # the sampler skips the exact set's zeros, so it draws v's positions
     if len(streams) == 1:
-        chosen = _pivotal_positions(split.residual_probs, split._targets, streams[0])
+        chosen = _pivotal_positions(split.probs, split._targets, streams[0])
     else:
-        chosen = _pivotal_rows(split.residual_probs, split._bounds, split._targets, streams)
-    pos = res[chosen]
-    keep = np.ones(v.nnz, dtype=bool)
-    keep[res] = False
-    keep[pos] = True
+        chosen = _pivotal_rows(split.probs, split._bounds, split._targets, streams)
+    keep = split.exact.copy()
+    keep[chosen] = True
     kept = keep.nonzero()[0]
     values = v.values.copy()  # exact entries are copied as they are
-    values[pos] /= split.residual_probs[chosen]
+    values[chosen] /= split.probs[chosen]
     return SparseVector._make(v.dim, v.indices[kept], values[kept])
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ class TestRichardson:
         A, b = nilpotent_system()
         with pytest.raises(ValueError):
             richardson(A, b, -1)
+
+    def test_overflow_raises_without_warning(self):
+        # ||G||_1 = 2: the iterates overflow long before step 2000
+        A = CscMatrix.from_dense(np.eye(2) - np.array([[0.0, 2.0], [2.0, 0.0]]))
+        b = sparse_from(2, [(0, 1.0), (1, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError):
+                richardson(A, b, 2000)
 
 
 class TestReferenceSolve:

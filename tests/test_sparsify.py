@@ -162,6 +162,17 @@ def stacked_runs(draw):
     return runs, m, None if levels is None else np.array(levels)
 
 
+def assert_storage_view(split, v):
+    """The split marks v's stored entries: one flag and one probability each."""
+    assert split.indices.tolist() == v.indices.tolist()
+    assert split.exact.dtype == bool and split.exact.shape == (v.nnz,)
+    assert split.probs.dtype == np.float64 and split.probs.shape == (v.nnz,)
+    assert not split.probs[split.exact].any()
+    assert np.count_nonzero(split.exact) == split.q
+    assert split.indices[split.exact].tolist() == split.exact_indices.tolist()
+    assert split.probs[~split.exact].tobytes() == split.residual_probs.tobytes()
+
+
 def stacked_draw_case():
     """Three runs of about 1 500 entries at m = 1024, the shape of one
     step of the solve_large_m benchmark, with their streams."""
@@ -236,6 +247,7 @@ class TestPreservationSplit:
     def test_invariants(self, case):
         v, m = case
         split = preservation_split(v, m)
+        assert_storage_view(split, v)
         assert split.q <= m
         mags = dict(zip(v.indices.tolist(), np.abs(v.values).tolist()))
         if split.q and split.residual_indices.size:
@@ -256,8 +268,8 @@ class TestReferenceSplit:
     def assert_matches_reference(v, m):
         split = preservation_split(v, m)
         exact, probs = stable_argsort_split(v, m)
-        assert split.exact_positions.tolist() == exact.nonzero()[0].tolist()
-        assert split.residual_positions.tolist() == (~exact).nonzero()[0].tolist()
+        assert split.exact.nonzero()[0].tolist() == exact.nonzero()[0].tolist()
+        assert (~split.exact).nonzero()[0].tolist() == (~exact).nonzero()[0].tolist()
         assert split.residual_probs.tobytes() == probs[~exact].tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -412,6 +424,7 @@ class TestStackedRuns:
         level = [m] * len(runs) if levels is None else levels.tolist()
         v = stack(runs)
         split = preservation_split(v, m, len(runs), levels)
+        assert_storage_view(split, v)
         streams = [RandomStream(40 + k) for k in range(len(runs))]
         out = sparsify(v, m, streams, levels)
         lone_streams = [RandomStream(40 + k) for k in range(len(runs))]
@@ -419,12 +432,12 @@ class TestStackedRuns:
         for k, (run, lone_stream) in enumerate(zip(runs, lone_streams)):
             lone = preservation_split(run, level[k])
             got = [
-                (split.exact_indices, split.exact_positions),
-                (split.residual_indices, split.residual_positions),
+                (split.exact_indices, split.exact.nonzero()[0]),
+                (split.residual_indices, (~split.exact).nonzero()[0]),
             ]
             want = [
-                (lone.exact_indices, lone.exact_positions),
-                (lone.residual_indices, lone.residual_positions),
+                (lone.exact_indices, lone.exact.nonzero()[0]),
+                (lone.residual_indices, (~lone.exact).nonzero()[0]),
             ]
             for (idx, pos), (lone_idx, lone_pos) in zip(got, want):
                 mine = (idx >= k * dim) & (idx < (k + 1) * dim)
