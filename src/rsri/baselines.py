@@ -16,7 +16,7 @@ import numpy as np
 from .operators import ColumnMatrix
 from .pagerank import STOCHASTIC_TOL
 from .sampling import RandomStream
-from .vectors import SparseVector, _stable_order
+from .vectors import SparseVector, _stable_order, check_int
 
 __all__ = ["ResidualTrace", "WalkCapError", "mc_surfer", "push_cd"]
 
@@ -203,7 +203,7 @@ def mc_surfer(
     This is the one-run case of _surfer_runs, which the harness uses to
     advance the walkers of several runs in one loop.
     """
-    return _surfer_runs(P, s, alpha, [m], [rng])[0]
+    return _surfer_runs(P, s, alpha, [check_int(m, "m")], [rng])[0]
 
 
 def push_cd(
@@ -223,7 +223,7 @@ def push_cd(
     is supplied.
     """
     _validate_walk_inputs(s, alpha)
-    if steps < 0:
+    if check_int(steps, "steps") < 0:
         raise ValueError("steps must be nonnegative")
     if s.dim != P.dim:
         raise ValueError("dimension mismatch between P and s")

@@ -25,7 +25,7 @@ from .baselines import _ColumnStore, _surfer_runs
 from .sampling import RandomStream, spawn_stream
 from .solvers import RsriConfig, _rsri_trials, reference_solve
 from .svgplot import svg_line_plot
-from .vectors import SparseVector, tail_sums
+from .vectors import SparseVector, check_int, tail_sums
 
 __all__ = [
     "SweepRow",
@@ -83,6 +83,8 @@ def _estimate_levels(
     if cfg.trials < 2:
         raise ValueError("estimate_rmse needs at least 2 trials")
     oracle = np.asarray(oracle, dtype=np.float64)
+    if oracle.shape != (problem.A.dim,):
+        raise ValueError(f"oracle shape {oracle.shape} is not ({problem.A.dim},)")
     master = RandomStream(cfg.seed)
     start = time.perf_counter()
     streams = [spawn_stream(master, k) for _ in levels for k in range(cfg.trials)]
@@ -164,7 +166,7 @@ def run_sweep(
     atomically, so a sweep that fails midway leaves existing files
     untouched.
     """
-    levels = [int(m) for m in m_list]
+    levels = [check_int(m, "m_list entry") for m in m_list]
     if not levels or any(lo >= hi for lo, hi in zip(levels, levels[1:])):
         raise ValueError(f"m_list must be nonempty and strictly increasing, got {levels}")
     if oracle is None:

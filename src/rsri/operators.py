@@ -1,8 +1,8 @@
 """Column-oracle matrices: every solver access is column(j) or a gather of several.
 
-Concrete backings are compressed sparse columns, a dense wrapper, and an
-implicit generator.  Implicit generators must be pure functions of the
-column index; the analysis treats the matrix as fixed.
+Concrete backings are compressed sparse columns, which also store dense
+arrays, and an implicit generator.  Implicit generators must be pure
+functions of the column index; the analysis treats the matrix as fixed.
 """
 from __future__ import annotations
 
@@ -133,21 +133,25 @@ class CscMatrix(ColumnMatrix):
         for arr in (indptr, indices, data):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_triplets(cls, dim, rows, cols, vals) -> "CscMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+    @staticmethod
+    def from_triplets(dim, rows, cols, vals) -> "CscMatrix":
+        rows, cols = index_array(rows, "rows"), index_array(cols, "cols")
+        for name, idx in (("rows", rows), ("cols", cols)):
+            if idx.size and (idx.min() < 0 or idx.max() >= dim):
+                raise ValueError(f"{name} out of range 0..{dim - 1}")
         vals = np.asarray(vals, dtype=np.float64)
         entries = coalesce(dim * dim, cols * dim + rows, vals)
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(entries.indices // dim, minlength=dim), out=indptr[1:])
-        return cls(dim, indptr, entries.indices % dim, entries.values)
+        return CscMatrix(dim, indptr, entries.indices % dim, entries.values)
 
-    @classmethod
-    def from_dense(cls, arr) -> "CscMatrix":
+    @staticmethod
+    def from_dense(arr) -> "CscMatrix":
         arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"a dense matrix must be a square 2-D array, got shape {arr.shape}")
         rows, cols = np.nonzero(arr)
-        return cls.from_triplets(arr.shape[0], rows, cols, arr[rows, cols])
+        return CscMatrix.from_triplets(arr.shape[0], rows, cols, arr[rows, cols])
 
     def column(self, j: int) -> SparseVector:
         self._check_index(j)
@@ -190,18 +194,13 @@ class CscMatrix(ColumnMatrix):
         return self.indices[flat], self.data[flat] * np.repeat(coeffs, counts), counts
 
 
-class DenseColumnMatrix(ColumnMatrix):
-    def __init__(self, array):
-        arr = np.asarray(array, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("dense backing must be a square 2-D array")
-        check_dim(arr.shape[0])
-        self.array = arr
-        self.dim = arr.shape[0]
+class DenseColumnMatrix(CscMatrix):
+    """``CscMatrix.from_dense(array)``: the array is not kept, so every
+    read and product has the CSC matrix's bits."""
 
-    def column(self, j: int) -> SparseVector:
-        self._check_index(j)
-        return SparseVector.from_dense(self.array[:, j])
+    def __init__(self, array):
+        C = CscMatrix.from_dense(array)
+        self._fill(C.dim, C.indptr, C.indices, C.data)
 
 
 class FunctionColumnMatrix(ColumnMatrix):
@@ -345,7 +344,7 @@ def diagnostics(A: ColumnMatrix, series_terms: int = 10_000) -> ContractionDiagn
 def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
     """Exact matrix-vector product via column combination.
 
-    Sparse backings add each row's terms from 0.0 in ascending column
+    Every backing adds each row's terms from 0.0 in ascending column
     order.  A CSC matrix is read in its row-blocked copy, which the first
     product builds, so the scatter into the output stays inside one
     cache-sized block at a time and the sums keep the CSC-order bits.
@@ -358,8 +357,6 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
         terms = v.take(cols)
         terms *= data
         return np.bincount(rows, weights=terms, minlength=A.dim)
-    if isinstance(A, DenseColumnMatrix):
-        return A.array @ v
     nz = (v != 0.0).nonzero()[0]
     rows, vals, _ = A.gather(nz, v[nz])
     return np.bincount(rows, weights=vals, minlength=A.dim)

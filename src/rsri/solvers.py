@@ -102,7 +102,7 @@ def _richardson_steps(A: ColumnMatrix, b: SparseVector):
 
 def richardson(A: ColumnMatrix, b: SparseVector, t: int) -> np.ndarray:
     """t steps of x <- x + (b - A x) from x = b; NonConvergenceError on overflow."""
-    if t < 0:
+    if check_int(t, "t") < 0:
         raise ValueError("t must be nonnegative")
     return expected_average(A, b, t + 1, t)
 
@@ -347,6 +347,7 @@ def expected_average(A: ColumnMatrix, b: SparseVector, t: int, t_min: int) -> np
     needed, and G = I - A need not be a contraction; NonConvergenceError
     is raised when the iterates overflow.
     """
+    t, t_min = check_int(t, "t"), check_int(t_min, "t_min")
     if not 0 <= t_min < t:
         raise ValueError("need 0 <= t_min < t")
     mean = np.zeros(A.dim)

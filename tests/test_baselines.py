@@ -159,6 +159,9 @@ class TestMcSurfer:
             mc_surfer(P, s, 0.0, 10, RandomStream(0))
         with pytest.raises(ValueError):
             mc_surfer(P, s, 0.85, 0, RandomStream(0))
+        for m in (2.5, True, "3"):
+            with pytest.raises(TypeError, match="m must be an integer"):
+                mc_surfer(P, s, 0.85, m, RandomStream(0))
         for bad_s in (sparse_from(1, [(0, 0.5)]), sparse_from(1, [(0, np.nan)])):
             with pytest.raises(ValueError):
                 mc_surfer(P, bad_s, 0.85, 10, RandomStream(0))
@@ -294,6 +297,9 @@ class TestPushCd:
         prob = three_cycle_problem()
         with pytest.raises(ValueError):
             push_cd(prob.P, prob.s, 0.85, -1)
+        for steps in (2.5, True):
+            with pytest.raises(TypeError, match="steps must be an integer"):
+                push_cd(prob.P, prob.s, 0.85, steps)
 
     def test_rejects_nonstochastic_column(self):
         s = SparseVector.basis(2, 0)

@@ -87,6 +87,15 @@ class TestEstimateRmse:
         with pytest.raises(ValueError):
             estimate_rmse(prob, RsriConfig(m=2, t=10, t_min=2, trials=1), np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(1,), (), (1, 3), (4,)])
+    def test_oracle_must_be_one_entry_per_node(self, shape):
+        prob = three_cycle_problem()
+        cfg = RsriConfig(m=2, t=10, t_min=2, trials=2)
+        with pytest.raises(ValueError, match=r"oracle shape .* is not \(3,\)"):
+            estimate_rmse(prob, cfg, np.zeros(shape))
+        with pytest.raises(ValueError, match=r"oracle shape .* is not \(3,\)"):
+            run_sweep(prob, cfg, [1, 2], np.zeros(shape), log=None)
+
     def test_bias_shrinks_with_burn_in(self):
         # m >= dim removes all randomness, so the trend is noise-free
         prob = three_cycle_problem()
@@ -433,6 +442,13 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(prob, cfg, [4, 2], csv_path=out, log=None)
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", [2.5, True, "3"])
+    def test_rejects_non_integer_levels(self, level):
+        prob = three_cycle_problem()
+        cfg = RsriConfig(m=1, t=10, t_min=5, seed=0, trials=2)
+        with pytest.raises(TypeError, match="m_list entry must be an integer"):
+            run_sweep(prob, cfg, [1, level], log=None)
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -65,6 +65,38 @@ class TestColumnBackings:
         assert A.column(1).nnz == 0
         np.testing.assert_array_equal(A.column(0).to_dense(), [1.0, 2.0])
 
+    def test_dense_backing_is_the_csc_matrix_of_its_array(self, np_rng):
+        dense = np_rng.standard_normal((7, 7)) * (np_rng.random((7, 7)) < 0.4)
+        dense[0, 0] = -0.0  # a zero, as in SparseVector.from_dense
+        A, C = DenseColumnMatrix(dense), CscMatrix.from_dense(dense)
+        assert isinstance(A, CscMatrix) and not hasattr(A, "array")
+        for a, c in ((A.indptr, C.indptr), (A.indices, C.indices), (A.data, C.data)):
+            assert a.tobytes() == c.tobytes() and not a.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (2, 2, 2)])
+    def test_from_dense_needs_a_square_array(self, shape):
+        for build in (CscMatrix.from_dense, DenseColumnMatrix):
+            with pytest.raises(ValueError, match="square 2-D array"):
+                build(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "rows, cols, match",
+        [
+            pytest.param([4], [0], "rows out of range", id="row-past-dim"),
+            pytest.param([-1], [1], "rows out of range", id="negative-row"),
+            pytest.param([0], [3], "cols out of range", id="col-past-dim"),
+            pytest.param([0], [-1], "cols out of range", id="negative-col"),
+        ],
+    )
+    def test_triplets_out_of_range_rejected(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            CscMatrix.from_triplets(3, rows, cols, [1.0])
+
+    @pytest.mark.parametrize("rows, cols, name", [([0.5], [0], "rows"), ([0], [True], "cols")])
+    def test_non_integer_triplets_rejected(self, rows, cols, name):
+        with pytest.raises(TypeError, match=f"{name} must have an integer dtype"):
+            CscMatrix.from_triplets(3, rows, cols, [1.0])
+
     def test_function_backing(self):
         A = FunctionColumnMatrix(2, lambda j: SparseVector.basis(2, j, 2.0))
         np.testing.assert_array_equal(densify(A), 2.0 * np.eye(2))

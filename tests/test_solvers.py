@@ -13,6 +13,9 @@ from rsri import (
     RandomStream,
     RsriConfig,
     SparseVector,
+    apply,
+    build_problem,
+    densify,
     dot,
     expected_average,
     identity,
@@ -22,6 +25,7 @@ from rsri import (
     rsri,
     rsri_functionals,
     spawn_stream,
+    synth_bounded_outdegree,
 )
 from rsri.solvers import _iterate_trials, _rsri_trials
 
@@ -68,6 +72,12 @@ class TestRichardson:
         A, b = nilpotent_system()
         with pytest.raises(ValueError):
             richardson(A, b, -1)
+
+    @pytest.mark.parametrize("t", [2.5, True, "3"])
+    def test_rejects_non_integer_t(self, t):
+        A, b = nilpotent_system()
+        with pytest.raises(TypeError, match="t must be an integer"):
+            richardson(A, b, t)
 
     def test_overflow_raises_without_warning(self):
         # ||G||_1 = 2: the iterates overflow long before step 2000
@@ -502,6 +512,12 @@ class TestExpectedAverage:
         with pytest.raises(NonConvergenceError, match="overflowed by step 1999"):
             expected_average(A, b, 2000, 1000)
 
+    @pytest.mark.parametrize("t, t_min", [(2.5, 1), (True, 0), (10, 1.0), (10, False)])
+    def test_rejects_non_integer_steps(self, t, t_min):
+        A, b = nilpotent_system()
+        with pytest.raises(TypeError, match="must be an integer"):
+            expected_average(A, b, t, t_min)
+
     def test_takes_no_tolerance(self):
         A, b = nilpotent_system()
         with pytest.raises(TypeError):
@@ -544,3 +560,43 @@ class TestExpectedAverage:
         sigma = samples.std(axis=0, ddof=1) / math.sqrt(trials)
         target = expected_average(prob.A, prob.b, t, t_min)
         assert np.all(np.abs(mean - target) <= 4 * sigma + 1e-12)
+
+
+class TestBackingsGiveSameBits:
+    """A dense array is stored as its CSC matrix, and the implicit backing
+    reads that matrix's columns, so every solver output has the same bits
+    on all three backings."""
+
+    @pytest.fixture(scope="class", params=["test_08", "signed"])
+    def system(self, request):
+        if request.param == "test_08":
+            prob = build_problem(synth_bounded_outdegree(3000, 3, seed=88), 0.85, source=0)
+            return prob.A, prob.b
+        return random_contraction_system(np.random.default_rng(41), 60, nonnegative=False)[:2]
+
+    def test_outputs_are_byte_identical(self, system):
+        A, b = system
+        v = np.random.default_rng(3).standard_normal(A.dim)
+        v[::3] = 0.0
+        cfg = RsriConfig(m=16, t=200, t_min=100, seed=6, trials=1)
+        backings = {
+            "csc": A,
+            "dense": DenseColumnMatrix(densify(A)),
+            "function": FunctionColumnMatrix(A.dim, A.column),
+        }
+        outputs = {
+            name: {
+                "apply": apply(B, v),
+                "reference_solve": reference_solve(B, b),
+                "expected_average": expected_average(B, b, 60, 20),
+                "rsri": rsri(B, b, cfg, RandomStream(6)).estimate.to_dense(),
+            }
+            for name, B in backings.items()
+        }
+        differ = [
+            f"{name} {what}"
+            for name in ("dense", "function")
+            for what, out in outputs[name].items()
+            if out.tobytes() != outputs["csc"][what].tobytes()
+        ]
+        assert differ == []
