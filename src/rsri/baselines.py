@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import ColumnMatrix
+from .operators import ColumnMatrix, _grown
 from .pagerank import STOCHASTIC_TOL
 from .sampling import RandomStream
 from .vectors import SparseVector, _stable_order, check_int
@@ -92,10 +92,7 @@ class _ColumnStore:
             padded[slot] = vals[entry]
             cdf[entry] = padded.reshape(band.size, 1 << e).cumsum(axis=1).ravel()[slot]
         end = self.size + rows.size
-        if end > self.cdf.size:  # grow by doubling, so appends cost O(1) per entry
-            grown = max(end, 2 * self.cdf.size)
-            self.rows = np.concatenate([self.rows[: self.size], np.empty(grown - self.size, np.int64)])
-            self.cdf = np.concatenate([self.cdf[: self.size], np.empty(grown - self.size)])
+        self.rows, self.cdf = (_grown(arr, self.size, end) for arr in (self.rows, self.cdf))
         self.rows[self.size : end] = rows
         self.cdf[self.size : end] = cdf
         self.base[cols] = self.size + starts

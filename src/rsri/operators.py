@@ -139,11 +139,17 @@ class CscMatrix(ColumnMatrix):
         for name, idx in (("rows", rows), ("cols", cols)):
             if idx.size and (idx.min() < 0 or idx.max() >= dim):
                 raise ValueError(f"{name} out of range 0..{dim - 1}")
-        vals = np.asarray(vals, dtype=np.float64)
-        entries = coalesce(dim * dim, cols * dim + rows, vals)
+        return CscMatrix._pack(dim, rows, cols, vals)
+
+    @staticmethod
+    def _pack(dim, rows, cols, vals) -> "CscMatrix":
+        # trusted: int64 rows and cols in 0..dim-1; coalesce sorts the keys
+        # cols * dim + rows, merges duplicates and drops zeros
+        check_dim(dim)
+        entries = coalesce(dim * dim, cols * dim + rows, np.asarray(vals, dtype=np.float64))
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(entries.indices // dim, minlength=dim), out=indptr[1:])
-        return CscMatrix(dim, indptr, entries.indices % dim, entries.values)
+        return CscMatrix._make(int(dim), indptr, entries.indices % dim, entries.values)
 
     @staticmethod
     def from_dense(arr) -> "CscMatrix":
@@ -185,13 +191,20 @@ class CscMatrix(ColumnMatrix):
         """Flat (rows, coeff * data, per-column counts) for the requested
         columns, in request order; no dedupe."""
         lo = self.indptr[cols]
-        counts = self.indptr[cols + 1] - lo
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0), counts
-        # entry e of the k-th requested column sits at lo[k] + e
-        flat = np.arange(total) + np.repeat(lo - (counts.cumsum() - counts), counts)
-        return self.indices[flat], self.data[flat] * np.repeat(coeffs, counts), counts
+        return _gather_runs(self.indices, self.data, lo, self.indptr[cols + 1] - lo, coeffs)
+
+
+def _gather_runs(rows, vals, lo, counts, coeffs):
+    """Flat (rows, coeff * vals, counts) of the runs ``lo[k] .. lo[k] +
+    counts[k] - 1`` of the entry arrays, in order: the one vectorised
+    column gather."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0), counts
+    # entry e of the k-th run sits at lo[k] + e
+    flat = np.arange(total) + np.repeat(lo - ends + counts, counts)
+    return rows[flat], vals[flat] * np.repeat(coeffs, counts), counts
 
 
 class DenseColumnMatrix(CscMatrix):
@@ -207,10 +220,11 @@ class FunctionColumnMatrix(ColumnMatrix):
     """Implicit column oracle for dimensions too large to store a matrix.
 
     ``fn(j)`` returns column j as a SparseVector of dimension ``dim``
-    (checked).  It must be pure, since the analysis treats the matrix as
-    fixed, and it is called once per column access, with no caching, so
-    its cost is paid on every access: building and validating a short
-    column with the SparseVector constructor takes a few microseconds.
+    (both checked).  It must be pure, since the analysis treats the
+    matrix as fixed.  Each ``column(j)`` calls it; the solvers keep the
+    columns they have read for the rest of one call, so ``rsri``,
+    ``reference_solve`` and their kin call it at most once per column per
+    call, while ``rsri_functionals`` calls it on every access.
     """
 
     def __init__(self, dim: int, fn: Callable[[int], SparseVector]):
@@ -221,9 +235,67 @@ class FunctionColumnMatrix(ColumnMatrix):
     def column(self, j: int) -> SparseVector:
         self._check_index(j)
         col = self.fn(j)
+        if not isinstance(col, SparseVector):
+            raise TypeError(f"generated column {j} is a {type(col).__name__}, not a SparseVector")
         if col.dim != self.dim:
             raise ValueError("generated column has wrong dimension")
         return col
+
+
+class _ReadOnce(ColumnMatrix):
+    """The columns of A read so far, each read once through ``A.gather``.
+
+    Slot k holds the k-th distinct column read: ``count[k]`` entries from
+    ``start[k]`` of the flat ``rows`` and ``vals``; the arrays grow by
+    doubling.  ``gather`` returns what ``A.gather`` would, bit for bit,
+    reading only the columns it has not seen.  A is fixed, so a solver
+    may wrap an implicit A for one call; the store then holds each
+    column it read, with no size limit.
+    """
+
+    def __init__(self, A: ColumnMatrix):
+        self.A, self.dim = A, A.dim
+        self.slot: dict[int, int] = {}
+        self.start = np.empty(0, dtype=np.int64)
+        self.count = np.empty(0, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0)
+        self.size = 0  # entries stored
+
+    def gather(self, cols: np.ndarray, coeffs: np.ndarray):
+        ids = cols.tolist()
+        try:
+            slots = np.fromiter(map(self.slot.__getitem__, ids), np.int64, len(ids))
+        except KeyError:
+            new = [j for j in dict.fromkeys(ids) if j not in self.slot]
+            self._append(new, *self.A.gather(np.array(new, dtype=np.int64), np.ones(len(new))))
+            slots = np.fromiter(map(self.slot.__getitem__, ids), np.int64, len(ids))
+        return _gather_runs(self.rows, self.vals, self.start[slots], self.count[slots], coeffs)
+
+    def _append(self, ids: list, rows: np.ndarray, vals: np.ndarray, counts: np.ndarray):
+        n, k, end = len(self.slot), len(ids), self.size + rows.size
+        self.start, self.count = (_grown(arr, n, n + k) for arr in (self.start, self.count))
+        self.rows, self.vals = (_grown(arr, self.size, end) for arr in (self.rows, self.vals))
+        self.start[n : n + k] = self.size + counts.cumsum() - counts
+        self.count[n : n + k] = counts
+        self.rows[self.size : end], self.vals[self.size : end] = rows, vals
+        self.slot.update(zip(ids, range(n, n + k)))
+        self.size = end
+
+
+def _grown(arr: np.ndarray, used: int, end: int) -> np.ndarray:
+    """``arr``, or a copy of its first ``used`` entries with room for
+    ``end``, at least double the size, so appends cost O(1) per entry."""
+    if end <= arr.size:
+        return arr
+    out = np.empty(max(end, 2 * arr.size), dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out
+
+
+def _read_once(A: ColumnMatrix) -> ColumnMatrix:
+    """A CscMatrix as it is, any other A behind a _ReadOnce store."""
+    return A if isinstance(A, CscMatrix) else _ReadOnce(A)
 
 
 def identity(dim: int) -> CscMatrix:
@@ -449,7 +521,7 @@ def load_matrix_market(path) -> CscMatrix:
     if outside.any():
         k = outside.argmax()
         raise EntryRangeError(f"entry ({rows[k] + 1}, {cols[k] + 1}) outside 1..{n_rows}")
-    return CscMatrix.from_triplets(n_rows, rows, cols, entries["value"])
+    return CscMatrix._pack(n_rows, rows, cols, entries["value"])
 
 
 def save_matrix_market(A: ColumnMatrix, path):

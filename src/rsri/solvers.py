@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import ColumnMatrix, apply
+from .operators import ColumnMatrix, _read_once, apply
 from .sampling import RandomStream
 from .sparsify import sparsify
 from .vectors import MAX_DIM, SparseVector, check_int, coalesce, dot
@@ -87,9 +87,12 @@ class NonConvergenceError(RuntimeError):
 
 def _richardson_steps(A: ColumnMatrix, b: SparseVector):
     """Yield (x, ||r||_1) with r = b - A x for x = b, then x += r in place,
-    one ``apply`` per step; the caller's loop sets ``np.errstate``."""
+    one ``apply`` per step; the caller's loop sets ``np.errstate``.  An
+    implicit A's columns are read once each, into a store that lives as
+    long as the generator."""
     if b.dim != A.dim:
         raise ValueError("dimension mismatch between A and b")
+    A = _read_once(A)
     b_dense = b.to_dense()
     x = b_dense.copy()
     mags = np.empty_like(x)
@@ -284,11 +287,14 @@ def _rsri_trials(
     Run k equals rsri on streams[k] at its level alone bit for bit.  The
     sum is dense while the stacked dimension ``len(streams) * A.dim`` is
     at most DENSE_ACCUMULATOR_LIMIT and sparse above it; the limit
-    chooses the memory layout only.
+    chooses the memory layout only.  An implicit A's columns are read
+    once each and kept until the call returns, at most q entries per
+    distinct column and no limit on the columns, burn-in included; the
+    column accesses still count every use.
     """
     _check_stack(len(streams), A.dim)
     acc = _Accumulator(len(streams), A.dim, len(streams) * A.dim <= DENSE_ACCUMULATOR_LIMIT)
-    accesses = _iterate_trials(A, b, cfg, streams, levels, acc.add)
+    accesses = _iterate_trials(_read_once(A), b, cfg, streams, levels, acc.add)
     acc.finish(cfg.t - cfg.t_min)
     return acc, accesses
 
@@ -320,8 +326,9 @@ def rsri_functionals(
     """Streaming averages of f * X over the averaged iterates.
 
     Memory use is independent of the estimate: nothing is accumulated but
-    one running sum per functional.  With the same stream this agrees
-    with dotting the stored rsri estimate.
+    one running sum per functional, and an implicit A's columns are read
+    on every access, not kept.  With the same stream this agrees with
+    dotting the stored rsri estimate.
     """
     fs = [np.asarray(f, dtype=np.float64) for f in fs]
     for f in fs:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rsri.operators import (
     PatternValuesError,
     _abs_g,
     _plus_identity,
+    _ReadOnce,
 )
 
 from conftest import random_contraction_system, three_cycle_problem
@@ -103,6 +105,11 @@ class TestColumnBackings:
         bad = FunctionColumnMatrix(2, lambda j: SparseVector.basis(3, j))
         with pytest.raises(ValueError):
             bad.column(0)
+
+    def test_generated_column_must_be_a_sparse_vector(self):
+        A = FunctionColumnMatrix(3, lambda j: np.eye(3)[j])
+        with pytest.raises(TypeError, match="generated column 1 is a ndarray, not a SparseVector"):
+            A.column(1)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -405,6 +412,33 @@ class TestApply:
             np.testing.assert_allclose(apply(A, v), dense @ v, atol=1e-12)
             assert sorted(reads) == sorted(support.tolist())
 
+    def test_read_once_store_gathers_what_the_matrix_does(self, np_rng):
+        # hits, new columns, repeats within a request, empty columns and an
+        # empty request all give A.gather's bits; each column is read once
+        dense = np_rng.standard_normal((50, 50)) * (np_rng.random((50, 50)) < 0.1)
+        dense[:, 7] = 0.0
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return SparseVector.from_dense(dense[:, j])
+
+        A = FunctionColumnMatrix(50, column)
+        store = _ReadOnce(A)
+        requests = [[3, 9, 7], [3, 9], [9, 4, 4, 3, 12], [], [20, 21, 22], [7, 22, 3, 30, 30]]
+        requests += [np_rng.integers(0, 50, 40).tolist() for _ in range(20)] + [list(range(50))]
+        seen = set()
+        for cols in requests:
+            cols = np.array(cols, dtype=np.int64)
+            coeffs = np_rng.standard_normal(cols.size)
+            reads.clear()
+            got = store.gather(cols, coeffs)
+            assert sorted(reads) == sorted(set(cols.tolist()) - seen)
+            seen |= set(reads)
+            want = A.gather(cols, coeffs)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply(identity(3), np.ones(2))
@@ -535,6 +569,27 @@ class TestMatrixMarket:
         text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
         with pytest.raises(EntryRangeError):
             load_matrix_market(write(tmp_path, "oor.mtx", text))
+
+    @pytest.mark.parametrize("entry, named", [("3 1", "(3, 1)"), ("0 2", "(0, 2)"),
+                                              ("1 -1", "(1, -1)"), ("2 3", "(2, 3)")])
+    def test_out_of_range_entry_is_named(self, tmp_path, entry, named):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{entry} 1.0\n"
+        with pytest.raises(EntryRangeError, match=rf"^entry {re.escape(named)} outside 1\.\.2$"):
+            load_matrix_market(write(tmp_path, "oor.mtx", text))
+
+    def test_loads_the_matrix_from_triplets_builds(self, tmp_path, np_rng):
+        # duplicates in any order, some cancelling to exact zeros
+        rows, cols = np_rng.integers(0, 30, 400), np_rng.integers(0, 30, 400)
+        vals = np_rng.standard_normal(400).round(1)
+        rows, cols, vals = (np.concatenate([a, a[:50]]) for a in (rows, cols, vals))
+        vals[-50:] *= -1.0
+        lines = "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows, cols, vals.tolist()))
+        text = f"%%MatrixMarket matrix coordinate real general\n30 30 {rows.size}\n{lines}"
+        got = load_matrix_market(write(tmp_path, "dups.mtx", text))
+        want = CscMatrix.from_triplets(30, rows, cols, vals)
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_entry_count_mismatch(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"

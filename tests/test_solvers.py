@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import warnings
@@ -27,6 +28,8 @@ from rsri import (
     spawn_stream,
     synth_bounded_outdegree,
 )
+from rsri import solvers
+from rsri.operators import _ReadOnce
 from rsri.solvers import _iterate_trials, _rsri_trials
 
 from conftest import random_contraction_system, sparse_from, three_cycle_problem
@@ -600,3 +603,93 @@ class TestBackingsGiveSameBits:
             if out.tobytes() != outputs["csc"][what].tobytes()
         ]
         assert differ == []
+
+
+def counted(A):
+    """A's columns behind a FunctionColumnMatrix that logs each generator call."""
+    calls = []
+
+    def column(j):
+        calls.append(j)
+        return A.column(j)
+
+    return FunctionColumnMatrix(A.dim, column), calls
+
+
+class TestImplicitColumnsReadOnce:
+    """rsri, its stacked trials and the Richardson loop keep an implicit
+    A's columns for one call: each distinct column costs one generator
+    call, and every output keeps its bits."""
+
+    @staticmethod
+    def without_store(monkeypatch):
+        monkeypatch.setattr(solvers, "_read_once", lambda A: A)
+
+    def test_lone_rsri(self, monkeypatch):
+        A, b = implicit_prefix_system(2**40)
+        A, calls = counted(A)
+        cfg = RsriConfig(m=8, t=400, t_min=200, seed=3, trials=1)
+        rep = rsri(A, b, cfg, RandomStream(3))
+        assert len(calls) == len(set(calls)) < rep.column_accesses
+        reads = set(calls)
+        calls.clear()
+        self.without_store(monkeypatch)
+        plain = rsri(A, b, cfg, RandomStream(3))
+        assert len(calls) == plain.column_accesses == rep.column_accesses
+        assert set(calls) == reads
+        assert plain.estimate.indices.tobytes() == rep.estimate.indices.tobytes()
+        assert plain.estimate.values.tobytes() == rep.estimate.values.tobytes()
+
+    def test_stacked_trials(self, monkeypatch):
+        A, b = implicit_prefix_system(2**40)
+        A, calls = counted(A)
+        cfg = RsriConfig(m=8, t=300, t_min=100, seed=5, trials=3)
+        master = RandomStream(cfg.seed)
+
+        def run():
+            calls.clear()
+            streams = [spawn_stream(master, k) for k in range(3)]
+            average, accesses = _rsri_trials(A, b, cfg, streams, cfg.m)
+            return average.vector(), accesses, list(calls)
+
+        kept, accesses, reads = run()
+        self.without_store(monkeypatch)
+        plain, plain_accesses, plain_reads = run()
+        assert len(reads) == len(set(reads)) < accesses.sum()
+        assert len(plain_reads) == plain_accesses.sum() == accesses.sum()
+        assert set(reads) == set(plain_reads)
+        assert kept.indices.tobytes() == plain.indices.tobytes()
+        assert kept.values.tobytes() == plain.values.tobytes()
+
+    def test_reference_solve_reads_each_reachable_column_once(self):
+        prob = build_problem(synth_bounded_outdegree(3000, 3, seed=88), 0.85, source=0)
+        A, calls = counted(prob.A)
+        x = reference_solve(A, prob.b)
+        # PageRank is positive exactly on the nodes reachable from the source
+        assert sorted(calls) == np.flatnonzero(x).tolist()
+        assert x.tobytes() == reference_solve(prob.A, prob.b).tobytes()
+
+    def test_no_store_outlives_the_call(self):
+        def stores():
+            gc.collect()
+            return sum(isinstance(obj, _ReadOnce) for obj in gc.get_objects())
+
+        A, b = implicit_prefix_system(200)
+        cfg = RsriConfig(m=8, t=60, t_min=30, seed=2, trials=1)
+        before = stores()
+        rsri(A, b, cfg, RandomStream(2))
+        reference_solve(A, b)
+        expected_average(A, b, 20, 10)
+        assert set(vars(A)) == {"dim", "fn"}
+        assert stores() == before
+
+    def test_functionals_read_every_access(self):
+        A, b = implicit_prefix_system(200)
+        A, calls = counted(A)
+        cfg = RsriConfig(m=8, t=200, t_min=100, seed=9, trials=1)
+        rep = rsri(A, b, cfg, RandomStream(9))
+        assert len(calls) < rep.column_accesses
+        calls.clear()
+        (mass,) = rsri_functionals(A, b, cfg, RandomStream(9), [np.ones(200)])
+        assert len(calls) == rep.column_accesses
+        assert mass == pytest.approx(float(rep.estimate.values.sum()), rel=1e-12)
