@@ -29,7 +29,6 @@ from .operators import (
     apply,
     densify,
     diagnostics,
-    g_column,
     identity,
     load_matrix_market,
     matrix_norm1_of_g,
@@ -63,6 +62,6 @@ from .solvers import (
     rsri_functionals,
 )
 from .sparsify import PreservationSplit, preservation_split, sparsify, sparsify_l2_bound
-from .vectors import SparseVector, VectorNorms, combine, dot, norms, tail_sums
+from .vectors import SparseVector, VectorNorms, dot, norms, tail_sums
 
 __version__ = "0.1.0"

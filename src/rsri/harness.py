@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import _ColumnStore, _surfer_runs
+from .baselines import _SurferStore, _surfer_runs
 from .sampling import RandomStream, spawn_stream
 from .solvers import RsriConfig, _rsri_trials, reference_solve
 from .svgplot import svg_line_plot
@@ -127,11 +127,11 @@ def _mc_rmse_levels(
     of lone mc_surfer runs bit for bit.  Grouping by trial keeps memory
     to one trial's walkers across all levels: for a doubling m list the
     counts double too, so that is under twice the largest count's.  The
-    trials share one _ColumnStore, so each column of P is read, checked
+    trials share one _SurferStore, so each column of P is read, checked
     and summed once per sweep.
     """
     master = RandomStream(seed)
-    store = _ColumnStore(problem.P)
+    store = _SurferStore(problem.P)
     totals = [0.0] * len(walks)
     for k in range(trials):
         streams = [spawn_stream(master, 2**31 + k) for _ in walks]

@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .vectors import SparseVector, check_dim, coalesce, combine, index_array
+from .vectors import SparseVector, check_dim, coalesce, index_array
 
 __all__ = [
     "ColumnMatrix",
@@ -23,7 +24,6 @@ __all__ = [
     "FunctionColumnMatrix",
     "ContractionDiagnostics",
     "identity",
-    "g_column",
     "matrix_norm1_of_g",
     "diagnostics",
     "apply",
@@ -191,7 +191,7 @@ class CscMatrix(ColumnMatrix):
         """Flat (rows, coeff * data, per-column counts) for the requested
         columns, in request order; no dedupe."""
         lo = self.indptr[cols]
-        return _gather_runs(self.indices, self.data, lo, self.indptr[cols + 1] - lo, coeffs)
+        return _gather_runs(self.indices, self.data, lo, self.indptr[1:][cols] - lo, coeffs)
 
 
 def _gather_runs(rows, vals, lo, counts, coeffs):
@@ -199,12 +199,9 @@ def _gather_runs(rows, vals, lo, counts, coeffs):
     counts[k] - 1`` of the entry arrays, in order: the one vectorised
     column gather."""
     ends = counts.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0), counts
     # entry e of the k-th run sits at lo[k] + e
-    flat = np.arange(total) + np.repeat(lo - ends + counts, counts)
-    return rows[flat], vals[flat] * np.repeat(coeffs, counts), counts
+    flat = np.arange(int(ends[-1]) if ends.size else 0) + (lo - ends + counts).repeat(counts)
+    return rows[flat], vals[flat] * coeffs.repeat(counts), counts
 
 
 class DenseColumnMatrix(CscMatrix):
@@ -243,52 +240,75 @@ class FunctionColumnMatrix(ColumnMatrix):
 
 
 class _ReadOnce(ColumnMatrix):
-    """The columns of A read so far, each read once through ``A.gather``.
+    """The columns of A read so far, each read once, by ``read(cols)``:
+    ``A.gather`` with unit coefficients unless given.
 
-    Slot k holds the k-th distinct column read: ``count[k]`` entries from
-    ``start[k]`` of the flat ``rows`` and ``vals``; the arrays grow by
-    doubling.  ``gather`` returns what ``A.gather`` would, bit for bit,
-    reading only the columns it has not seen.  A is fixed, so a solver
-    may wrap an implicit A for one call; the store then holds each
-    column it read, with no size limit.
+    Slot k holds column ``ids[k]``, found through the dict ``slot``; once
+    read, it holds ``count[k]`` entries from ``start[k]`` of each flat
+    per-entry array that ``_entries`` names.  ``gather`` returns what
+    ``A.gather`` would, bit for bit.  The store holds each column read,
+    with no size limit and no array sized by ``A.dim``.
     """
 
-    def __init__(self, A: ColumnMatrix):
-        self.A, self.dim = A, A.dim
+    def __init__(self, A: ColumnMatrix, read: Callable | None = None):
+        self.dim = A.dim
+        self.read = read or (lambda cols: A.gather(cols, np.ones(cols.size)))
         self.slot: dict[int, int] = {}
-        self.start = np.empty(0, dtype=np.int64)
-        self.count = np.empty(0, dtype=np.int64)
-        self.rows = np.empty(0, dtype=np.int64)
-        self.vals = np.empty(0)
+        self.ids, self.start, self.count = (np.empty(0, dtype=np.int64) for _ in range(3))
+        self.rows, self.vals = np.empty(0, dtype=np.int64), np.empty(0)
         self.size = 0  # entries stored
+
+    def slots(self, ids: list) -> np.ndarray:
+        """Each id's slot; an unseen id takes the next slot, unread: _grown zeroes its count."""
+        n = len(self.slot)
+        slots = np.array([self.slot.setdefault(j, len(self.slot)) for j in ids], dtype=np.int64)
+        if len(self.slot) > self.ids.size:
+            grown = (_grown(a, n, len(self.slot)) for a in (self.ids, self.start, self.count))
+            self.ids, self.start, self.count = grown
+        self.ids[slots] = ids
+        return slots
+
+    def _read(self, slots: np.ndarray | slice):
+        """Read the columns of the unread ``slots``, in order, into the store."""
+        rows, vals, counts = self.read(self.ids[slots])
+        end = self.size + rows.size
+        for name, values in self._entries(rows, vals, counts).items():
+            arr = _grown(getattr(self, name), self.size, end)
+            arr[self.size : end] = values
+            setattr(self, name, arr)
+        # exclusive prefix sums: on a push's one column, a third of counts.cumsum() - counts
+        self.start[slots] = list(accumulate(counts.tolist()[:-1], initial=self.size))
+        self.count[slots] = counts
+        self.size = end
+
+    def _entries(self, rows: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> dict:
+        return {"rows": rows, "vals": vals}
 
     def gather(self, cols: np.ndarray, coeffs: np.ndarray):
         ids = cols.tolist()
         try:
             slots = np.fromiter(map(self.slot.__getitem__, ids), np.int64, len(ids))
         except KeyError:
-            new = [j for j in dict.fromkeys(ids) if j not in self.slot]
-            self._append(new, *self.A.gather(np.array(new, dtype=np.int64), np.ones(len(new))))
-            slots = np.fromiter(map(self.slot.__getitem__, ids), np.int64, len(ids))
+            n = len(self.slot)
+            slots = self.slots(ids)
+            self._read(slice(n, len(self.slot)))
         return _gather_runs(self.rows, self.vals, self.start[slots], self.count[slots], coeffs)
 
-    def _append(self, ids: list, rows: np.ndarray, vals: np.ndarray, counts: np.ndarray):
-        n, k, end = len(self.slot), len(ids), self.size + rows.size
-        self.start, self.count = (_grown(arr, n, n + k) for arr in (self.start, self.count))
-        self.rows, self.vals = (_grown(arr, self.size, end) for arr in (self.rows, self.vals))
-        self.start[n : n + k] = self.size + counts.cumsum() - counts
-        self.count[n : n + k] = counts
-        self.rows[self.size : end], self.vals[self.size : end] = rows, vals
-        self.slot.update(zip(ids, range(n, n + k)))
-        self.size = end
+    def entries(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and values of column j."""
+        if j not in self.slot:
+            self._read(self.slots([j]))
+        k = self.slot[j]
+        lo, hi = self.start[k], self.start[k] + self.count[k]
+        return self.rows[lo:hi], self.vals[lo:hi]
 
 
 def _grown(arr: np.ndarray, used: int, end: int) -> np.ndarray:
-    """``arr``, or a copy of its first ``used`` entries with room for
+    """``arr``, or a copy of its first ``used`` entries with zeroed room for
     ``end``, at least double the size, so appends cost O(1) per entry."""
     if end <= arr.size:
         return arr
-    out = np.empty(max(end, 2 * arr.size), dtype=arr.dtype)
+    out = np.zeros(max(end, 2 * arr.size), dtype=arr.dtype)
     out[:used] = arr[:used]
     return out
 
@@ -301,11 +321,6 @@ def _read_once(A: ColumnMatrix) -> ColumnMatrix:
 def identity(dim: int) -> CscMatrix:
     idx = np.arange(dim, dtype=np.int64)
     return CscMatrix(dim, np.arange(dim + 1, dtype=np.int64), idx, np.ones(dim))
-
-
-def g_column(A: ColumnMatrix, j: int) -> SparseVector:
-    """Column j of G = I - A, with exact zero cancellation."""
-    return combine(1.0, SparseVector.basis(A.dim, j), -1.0, A.column(j))
 
 
 def _csc(A: ColumnMatrix) -> CscMatrix:

@@ -23,7 +23,7 @@ import numpy as np
 from .operators import ColumnMatrix, _read_once, apply
 from .sampling import RandomStream
 from .sparsify import sparsify
-from .vectors import MAX_DIM, SparseVector, check_int, coalesce, dot
+from .vectors import SparseVector, _check_stack, check_int, coalesce, dot
 
 __all__ = [
     "RsriConfig",
@@ -133,14 +133,6 @@ def reference_solve(
     raise NonConvergenceError(
         f"no convergence within {max_iter} iterations (residual {res_norm:.3e})", res_norm
     )
-
-
-def _check_stack(trials: int, dim: int):
-    if trials > 1 and trials * dim > MAX_DIM:
-        raise ValueError(
-            f"{trials} runs at dimension {dim} overflow the stacked int64 keys "
-            f"k * dim + i: need runs * dim <= 2**63 - 1"
-        )
 
 
 def _iterate_trials(

@@ -17,7 +17,6 @@ __all__ = [
     "VectorNorms",
     "norms",
     "tail_sums",
-    "combine",
     "dot",
     "coalesce",
 ]
@@ -32,6 +31,16 @@ def check_dim(dim: int):
         raise ValueError(f"dim must be positive, got {dim}")
     if dim > MAX_DIM:
         raise ValueError(f"dim must be at most 2**63 - 1 (int64 indices), got {dim}")
+
+
+def _check_stack(runs: int, dim: int):
+    """Raise ValueError unless the stacked int64 keys ``k * dim + i`` of
+    ``runs`` runs fit: one run, or ``runs * dim <= 2**63 - 1``."""
+    if runs > 1 and runs * dim > MAX_DIM:
+        raise ValueError(
+            f"{runs} runs at dimension {dim} overflow the stacked int64 keys "
+            f"k * dim + i: need runs * dim <= 2**63 - 1"
+        )
 
 
 def check_int(value, name: str) -> int:
@@ -214,15 +223,6 @@ def _rearrangement(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its bits depend neither on how ties are ordered nor on padding zeros."""
     mags.sort(axis=-1)
     return mags[..., ::-1], mags.cumsum(axis=-1)[..., ::-1]
-
-
-def combine(alpha: float, u: SparseVector, beta: float, w: SparseVector) -> SparseVector:
-    """alpha * u + beta * w with exact zero cancellations removed."""
-    if u.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} != {w.dim}")
-    idx = np.concatenate([u.indices, w.indices])
-    val = np.concatenate([alpha * u.values, beta * w.values])
-    return coalesce(u.dim, idx, val)
 
 
 def dot(f: np.ndarray, v: SparseVector) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rsri import (
     CscMatrix,
+    FunctionColumnMatrix,
     RandomStream,
     SparseVector,
     build_problem,
@@ -15,6 +17,7 @@ from rsri import (
 )
 
 from rsri.baselines import _surfer_runs
+from rsri.harness import _mc_rmse_levels
 
 from conftest import fit_loglog_slope, sparse_from, three_cycle_problem
 
@@ -56,6 +59,28 @@ def hub_graph(n=2000):
     )
     s = SparseVector(n + 1, np.arange(n + 1), np.full(n + 1, 1.0 / (n + 1)))
     return P, s
+
+
+def two_entry_matrix(dim):
+    """Column j of P splits evenly between rows (2j + 1) mod dim and
+    (3j + 7) mod dim, generated on demand at any dimension."""
+
+    def column(j):
+        rows = np.unique(np.array([(2 * j + 1) % dim, (3 * j + 7) % dim]))
+        return SparseVector(dim, rows, np.full(rows.size, 1.0 / rows.size))
+
+    return FunctionColumnMatrix(dim, column)
+
+
+def counted(P):
+    """P's columns behind a FunctionColumnMatrix that logs each generator call."""
+    calls = []
+
+    def column(j):
+        calls.append(j)
+        return P.column(j)
+
+    return FunctionColumnMatrix(P.dim, column), calls
 
 
 class TestMcSurfer:
@@ -109,6 +134,12 @@ class TestMcSurfer:
         mu4 = (3 * (m * x * (1 - x)) ** 2 + m * x * (1 - x) * (1 - 6 * x * (1 - x))) / m**4
         var_of_var = mu4 / trials - mu2**2 * (trials - 3) / (trials * (trials - 1))
         assert np.all(np.abs(var_hat - mu2) <= 4 * np.sqrt(var_of_var))
+
+    def test_oracle_must_have_the_problem_shape(self):
+        prob = build_problem(synth_bounded_outdegree(50, 3, seed=1), 0.85, source=0)
+        for oracle in (np.zeros(1), np.zeros(7)):
+            with pytest.raises(ValueError, match=r"oracle shape \(\d+,\) is not \(50,\)"):
+                push_cd(prob.P, prob.s, 0.85, 5, oracle_x=oracle)
 
     def test_rejects_nonstochastic_column(self):
         s = SparseVector.basis(2, 0)
@@ -244,6 +275,51 @@ class TestSurferRuns:
         with pytest.raises(ValueError, match="one walk count per stream"):
             _surfer_runs(P, s, 0.85, [4, 4], [RandomStream(0)])
 
+    def test_stacked_keys_that_overflow_int64_raise(self):
+        # two runs key their walkers up to 2 * dim - 1, past 2**63 - 1
+        dim = 2**62 + 5
+        P, s = two_entry_matrix(dim), SparseVector.basis(dim, 0)
+        with pytest.raises(ValueError, match="overflow the stacked int64 keys"):
+            _surfer_runs(P, s, 0.85, [3, 3], [RandomStream(0), RandomStream(1)])
+        lone = mc_surfer(P, s, 0.85, 3, RandomStream(0))
+        assert lone.dim == dim and lone.values.sum() == pytest.approx(1.0)
+
+
+class TestOneColumnStore:
+    def test_surfer_memory_does_not_grow_with_the_dimension(self):
+        def traced(dim):
+            tracemalloc.start()
+            try:
+                est = mc_surfer(two_entry_matrix(dim), SparseVector.basis(dim, 0), 0.85, 1000,
+                                RandomStream(1))
+                return tracemalloc.get_traced_memory()[1], est
+            finally:
+                tracemalloc.stop()
+
+        traced(10**4)  # a first call's one-off allocations are not the surfer's
+        small, _ = traced(10**4)
+        large, est = traced(10**12)
+        assert large <= 2 * small, (large, small)
+        assert est.dim == 10**12 and est.values.sum() == pytest.approx(1.0)
+
+    def test_push_reads_each_pushed_column_once(self):
+        prob = build_problem(synth_bounded_outdegree(300, 3, seed=4), 0.85, source=0)
+        P, calls = counted(prob.P)
+        x_hat, trace = push_cd(P, prob.s, 0.85, 400)
+        # x_hat is positive exactly on the pushed columns
+        assert sorted(calls) == np.flatnonzero(x_hat).tolist()
+        want_x, want = push_cd(prob.P, prob.s, 0.85, 400)
+        assert x_hat.tobytes() == want_x.tobytes()
+        assert trace.residual_inf.tobytes() == want.residual_inf.tobytes()
+
+    def test_sweep_surfer_reads_each_column_once_across_trials(self):
+        prob = build_problem(synth_bounded_outdegree(300, 3, seed=4), 0.85, source=0)
+        P, calls = counted(prob.P)
+        oracle = reference_solve(prob.A, prob.b)
+        got = _mc_rmse_levels(dataclasses.replace(prob, P=P), [20, 200], 4, 7, oracle)
+        assert calls and len(calls) == len(set(calls))
+        assert got == _mc_rmse_levels(prob, [20, 200], 4, 7, oracle)
+
 
 class TestPushCd:
     def test_zero_steps(self):
@@ -300,6 +376,12 @@ class TestPushCd:
         for steps in (2.5, True):
             with pytest.raises(TypeError, match="steps must be an integer"):
                 push_cd(prob.P, prob.s, 0.85, steps)
+
+    def test_oracle_must_have_the_problem_shape(self):
+        prob = build_problem(synth_bounded_outdegree(50, 3, seed=1), 0.85, source=0)
+        for oracle in (np.zeros(1), np.zeros(7)):
+            with pytest.raises(ValueError, match=r"oracle shape \(\d+,\) is not \(50,\)"):
+                push_cd(prob.P, prob.s, 0.85, 5, oracle_x=oracle)
 
     def test_rejects_nonstochastic_column(self):
         s = SparseVector.basis(2, 0)

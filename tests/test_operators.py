@@ -15,7 +15,6 @@ from rsri import (
     build_problem,
     densify,
     diagnostics,
-    g_column,
     identity,
     load_matrix_market,
     matrix_norm1_of_g,
@@ -173,34 +172,6 @@ class TestColumnBackings:
                 FunctionColumnMatrix(dim, fn)
         top = FunctionColumnMatrix(2**63 - 1, lambda j: SparseVector.basis(2**63 - 1, j))
         assert top.column(2**63 - 2).indices.tolist() == [2**63 - 2]
-
-
-class TestGColumn:
-    def test_identity_gives_empty(self):
-        A = identity(4)
-        for j in range(4):
-            assert g_column(A, j).nnz == 0
-
-    def test_pagerank_column_is_scaled_transition(self):
-        prob = three_cycle_problem()
-        for j in range(3):
-            g = g_column(prob.A, j)
-            p = prob.P.column(j)
-            np.testing.assert_array_equal(g.indices, p.indices)
-            np.testing.assert_allclose(g.values, 0.85 * p.values)
-
-    def test_worked_column(self):
-        A = CscMatrix.from_dense(np.array([[1.0, 0.0], [0.5, 1.0]]))
-        g = g_column(A, 0)
-        assert g.indices.tolist() == [1]
-        assert g.values.tolist() == [-0.5]
-
-    def test_reconstructs_basis(self, np_rng):
-        dense = np_rng.random((5, 5))
-        A = CscMatrix.from_dense(dense)
-        for j in range(5):
-            total = g_column(A, j).to_dense() + dense[:, j]
-            np.testing.assert_allclose(total, np.eye(5)[j], atol=1e-15)
 
 
 class TestNormAndDiagnostics:

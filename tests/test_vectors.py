@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsri import SparseVector, combine, dot, norms, tail_sums
+from rsri import SparseVector, dot, norms, tail_sums
 from rsri.vectors import coalesce
 
 from conftest import sparse_from
@@ -141,41 +141,6 @@ class TestTailSums:
         assert np.all(np.diff(t) <= 0)
 
 
-class TestCombine:
-    def test_self_cancellation(self):
-        v = sparse_from(3, [(0, 1.0), (2, 2.0)])
-        assert combine(1.0, v, -1.0, v).nnz == 0
-
-    def test_basis_sum(self):
-        out = combine(2.0, SparseVector.basis(3, 0), 3.0, SparseVector.basis(3, 1))
-        np.testing.assert_array_equal(out.to_dense(), [2.0, 3.0, 0.0])
-
-    def test_entry_cancellation(self):
-        u = sparse_from(2, [(0, 1.0)])
-        w = sparse_from(2, [(0, -1.0), (1, 5.0)])
-        out = combine(1.0, u, 1.0, w)
-        np.testing.assert_array_equal(out.indices, [1])
-        np.testing.assert_array_equal(out.values, [5.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            combine(1.0, SparseVector.basis(2, 0), 1.0, SparseVector.basis(3, 0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(sparse_vectors(), st.data())
-    def test_swap_commutes_exactly(self, u, data):
-        pairs = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, u.dim - 1), signed_values), unique_by=lambda t: t[0]
-            )
-        )
-        w = sparse_from(u.dim, pairs)
-        a = combine(2.5, u, -0.75, w)
-        b = combine(-0.75, w, 2.5, u)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.values, b.values)
-
-
 class TestCoalesce:
     def test_adds_in_input_order(self):
         # pairwise summation would add 1 + 1 first and keep it
@@ -251,6 +216,11 @@ class TestDot:
         )
         w = sparse_from(u.dim, pairs)
         f = np.linspace(-1.0, 1.0, u.dim)
-        lhs = dot(f, combine(1.5, u, -2.0, w))
+        combined = coalesce(
+            u.dim,
+            np.concatenate([u.indices, w.indices]),
+            np.concatenate([1.5 * u.values, -2.0 * w.values]),
+        )
+        lhs = dot(f, combined)
         rhs = 1.5 * dot(f, u) - 2.0 * dot(f, w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
