@@ -23,7 +23,6 @@ from .operators import (
     ColumnMatrix,
     ContractionDiagnostics,
     CscMatrix,
-    DenseColumnMatrix,
     FunctionColumnMatrix,
     MatrixMarketError,
     apply,

@@ -44,7 +44,7 @@ def _validate_walk_inputs(s: SparseVector, alpha: float):
 def _stochastic_columns(P: ColumnMatrix, cols: np.ndarray):
     """Flat (rows, values, per-column counts) of columns cols of P, read by
     one gather; raises ValueError naming the first that is not stochastic."""
-    rows, vals, counts = P.gather(cols, np.ones(cols.size))
+    rows, vals, counts = P.gather(cols)
     ids = np.arange(cols.size).repeat(counts)
     totals = np.bincount(ids, weights=vals, minlength=cols.size)
     ok = np.abs(totals - 1.0) <= STOCHASTIC_TOL  # a NaN or infinite value fails here

@@ -1,8 +1,11 @@
 """Column-oracle matrices: every solver access is column(j) or a gather of several.
 
 Concrete backings are compressed sparse columns, which also store dense
-arrays, and an implicit generator.  Implicit generators must be pure
-functions of the column index; the analysis treats the matrix as fixed.
+arrays (``CscMatrix.from_dense``), and an implicit generator.  Implicit
+generators must be pure functions of the column index; the analysis
+treats the matrix as fixed.  ``gather(cols)`` returns the requested
+columns as they are stored, on every backing; the two linear
+combinations of columns, ``apply`` and the sparsified step, scale them.
 """
 from __future__ import annotations
 
@@ -15,12 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .vectors import SparseVector, check_dim, coalesce, index_array
+from .vectors import SparseVector, check_dim, check_int, coalesce, index_array
 
 __all__ = [
     "ColumnMatrix",
     "CscMatrix",
-    "DenseColumnMatrix",
     "FunctionColumnMatrix",
     "ContractionDiagnostics",
     "identity",
@@ -66,17 +68,16 @@ class ColumnMatrix:
     def column(self, j: int) -> SparseVector:
         raise NotImplementedError
 
-    def gather(self, cols: np.ndarray, coeffs: np.ndarray):
-        """Flat (rows, coeff * values, per-column counts) for the requested
-        columns, in request order; no dedupe: one column(j) call per
+    def gather(self, cols: np.ndarray):
+        """Flat (rows, values, per-column counts) of the requested columns
+        as stored, in request order; no dedupe: one column(j) call per
         requested column."""
         picked = [self.column(j) for j in cols.tolist()]
         counts = np.array([col.indices.size for col in picked], dtype=np.int64)
         if not picked:
             return np.empty(0, dtype=np.int64), np.empty(0), counts
         rows = np.concatenate([col.indices for col in picked])
-        vals = np.concatenate([col.values for col in picked]) * np.repeat(coeffs, counts)
-        return rows, vals, counts
+        return rows, np.concatenate([col.values for col in picked]), counts
 
     def _check_index(self, j: int):
         if not 0 <= j < self.dim:
@@ -187,30 +188,21 @@ class CscMatrix(ColumnMatrix):
             )
         return self._row_blocks
 
-    def gather(self, cols: np.ndarray, coeffs: np.ndarray):
-        """Flat (rows, coeff * data, per-column counts) for the requested
-        columns, in request order; no dedupe."""
+    def gather(self, cols: np.ndarray):
+        """Flat (rows, data, per-column counts) of the requested columns as
+        stored, in request order; no dedupe."""
         lo = self.indptr[cols]
-        return _gather_runs(self.indices, self.data, lo, self.indptr[1:][cols] - lo, coeffs)
+        return _gather_runs(self.indices, self.data, lo, self.indptr[1:][cols] - lo)
 
 
-def _gather_runs(rows, vals, lo, counts, coeffs):
-    """Flat (rows, coeff * vals, counts) of the runs ``lo[k] .. lo[k] +
-    counts[k] - 1`` of the entry arrays, in order: the one vectorised
-    column gather."""
+def _gather_runs(rows, vals, lo, counts):
+    """Flat (rows, vals, counts) of the runs ``lo[k] .. lo[k] + counts[k] - 1``
+    of the entry arrays, in order, unscaled: the one vectorised column
+    gather."""
     ends = counts.cumsum()
     # entry e of the k-th run sits at lo[k] + e
     flat = np.arange(int(ends[-1]) if ends.size else 0) + (lo - ends + counts).repeat(counts)
-    return rows[flat], vals[flat] * coeffs.repeat(counts), counts
-
-
-class DenseColumnMatrix(CscMatrix):
-    """``CscMatrix.from_dense(array)``: the array is not kept, so every
-    read and product has the CSC matrix's bits."""
-
-    def __init__(self, array):
-        C = CscMatrix.from_dense(array)
-        self._fill(C.dim, C.indptr, C.indices, C.data)
+    return rows[flat], vals[flat], counts
 
 
 class FunctionColumnMatrix(ColumnMatrix):
@@ -241,18 +233,19 @@ class FunctionColumnMatrix(ColumnMatrix):
 
 class _ReadOnce(ColumnMatrix):
     """The columns of A read so far, each read once, by ``read(cols)``:
-    ``A.gather`` with unit coefficients unless given.
+    ``A.gather`` unless given.
 
     Slot k holds column ``ids[k]``, found through the dict ``slot``; once
     read, it holds ``count[k]`` entries from ``start[k]`` of each flat
-    per-entry array that ``_entries`` names.  ``gather`` returns what
-    ``A.gather`` would, bit for bit.  The store holds each column read,
-    with no size limit and no array sized by ``A.dim``.
+    per-entry array that ``_entries`` names.  ``gather`` returns the
+    stored columns, which are what ``A.gather`` returns, bit for bit.
+    The store holds each column read, with no size limit and no array
+    sized by ``A.dim``.
     """
 
     def __init__(self, A: ColumnMatrix, read: Callable | None = None):
         self.dim = A.dim
-        self.read = read or (lambda cols: A.gather(cols, np.ones(cols.size)))
+        self.read = read or A.gather
         self.slot: dict[int, int] = {}
         self.ids, self.start, self.count = (np.empty(0, dtype=np.int64) for _ in range(3))
         self.rows, self.vals = np.empty(0, dtype=np.int64), np.empty(0)
@@ -284,7 +277,7 @@ class _ReadOnce(ColumnMatrix):
     def _entries(self, rows: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> dict:
         return {"rows": rows, "vals": vals}
 
-    def gather(self, cols: np.ndarray, coeffs: np.ndarray):
+    def gather(self, cols: np.ndarray):
         ids = cols.tolist()
         try:
             slots = np.fromiter(map(self.slot.__getitem__, ids), np.int64, len(ids))
@@ -292,7 +285,7 @@ class _ReadOnce(ColumnMatrix):
             n = len(self.slot)
             slots = self.slots(ids)
             self._read(slice(n, len(self.slot)))
-        return _gather_runs(self.rows, self.vals, self.start[slots], self.count[slots], coeffs)
+        return _gather_runs(self.rows, self.vals, self.start[slots], self.count[slots])
 
     def entries(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows and values of column j."""
@@ -328,7 +321,7 @@ def _csc(A: ColumnMatrix) -> CscMatrix:
     is in CSC order."""
     if isinstance(A, CscMatrix):
         return A
-    rows, vals, counts = A.gather(np.arange(A.dim), np.ones(A.dim))
+    rows, vals, counts = A.gather(np.arange(A.dim))
     return CscMatrix._make(A.dim, np.append(0, np.cumsum(counts)), rows, vals)
 
 
@@ -404,6 +397,8 @@ def diagnostics(A: ColumnMatrix, series_terms: int = 10_000) -> ContractionDiagn
     vector of column-sum functionals through abs(G), never by forming
     powers; it is reported as +inf when not converged by the term cap.
     """
+    if check_int(series_terms, "series_terms") < 0:
+        raise ValueError("series_terms must be nonnegative")
     rows, ids, mags, g1 = _abs_g(A)
     simple = 1.0 / (1.0 - g1 * g1) if g1 < 1.0 else math.inf
 
@@ -445,8 +440,8 @@ def apply(A: ColumnMatrix, v: np.ndarray) -> np.ndarray:
         terms *= data
         return np.bincount(rows, weights=terms, minlength=A.dim)
     nz = (v != 0.0).nonzero()[0]
-    rows, vals, _ = A.gather(nz, v[nz])
-    return np.bincount(rows, weights=vals, minlength=A.dim)
+    rows, vals, counts = A.gather(nz)
+    return np.bincount(rows, weights=vals * v[nz].repeat(counts), minlength=A.dim)
 
 
 def densify(A: ColumnMatrix) -> np.ndarray:

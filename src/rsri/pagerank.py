@@ -55,10 +55,6 @@ class EdgeList:
             object.__setattr__(self, name, value)
 
     @property
-    def edge_count(self) -> int:
-        return int(self.src.size)
-
-    @property
     def id_map(self) -> dict[int, int]:  # label -> dense id, built afresh on each read
         return dict(zip(self.labels.tolist(), range(self.node_count)))
 
@@ -146,6 +142,7 @@ def assemble(P: CscMatrix, alpha: float, s: SparseVector) -> tuple[CscMatrix, Sp
 
 def build_problem(edges: EdgeList, alpha: float, source: int) -> PageRankProblem:
     """Personalized problem: teleport to `source`, dangling repair to `source`."""
+    source = check_int(source, "source")
     if not 0 <= source < edges.node_count:
         raise ValueError(f"source {source} out of range")
     P = _transition_matrix(edges, source)

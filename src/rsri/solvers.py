@@ -122,6 +122,8 @@ def reference_solve(
     Raises NonConvergenceError after max_iter steps, or as soon as the
     residual overflows, which happens when G = I - A is not a contraction.
     """
+    if check_int(max_iter, "max_iter") < 0:
+        raise ValueError("max_iter must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
         for step, (x, res_norm) in zip(range(max_iter + 1), _richardson_steps(A, b)):
             if res_norm <= tol:
@@ -180,11 +182,11 @@ def _iterate_trials(
         offset = trial * dim
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports overflow
             # X = b + phi - sum_j phi_j A(:, j); duplicates merged, exact zeros dropped
-            rows, vals, counts = A.gather(phi.indices - offset, phi.values)
+            rows, vals, counts = A.gather(phi.indices - offset)
             x = coalesce(
                 trials * dim,
                 np.concatenate([b_keys, phi.indices, np.repeat(offset, counts) + rows]),
-                np.concatenate([b_vals, phi.values, -vals]),
+                np.concatenate([b_vals, phi.values, vals * (-phi.values).repeat(counts)]),
             )
             if not float(np.abs(x.values).sum()) * m < math.inf:
                 # some run diverged, or only the sum over runs overflows

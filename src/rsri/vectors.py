@@ -121,6 +121,7 @@ class SparseVector:
 
     @classmethod
     def basis(cls, dim: int, k: int, value: float = 1.0) -> "SparseVector":
+        k = check_int(k, "k")
         return cls(dim, np.array([k], dtype=np.int64), np.array([value], dtype=np.float64))
 
     @classmethod

@@ -14,7 +14,6 @@ import pytest
 
 from rsri import (
     CscMatrix,
-    DenseColumnMatrix,
     FunctionColumnMatrix,
     LinearProblem,
     NonConvergenceError,
@@ -157,7 +156,7 @@ def backed_problem(backing):
     prob = build_problem(synth_bounded_outdegree(200, 3, seed=4), 0.85, source=0)
     A = {
         "csc": prob.A,
-        "dense": DenseColumnMatrix(densify(prob.A)),
+        "dense": CscMatrix.from_dense(densify(prob.A)),
         "function": FunctionColumnMatrix(prob.A.dim, prob.A.column),
     }[backing]
     return A, prob.b
@@ -407,9 +406,9 @@ class TestRunSweep:
         read = []
         gather = prob.P.gather
 
-        def recording_gather(cols, coeffs):
+        def recording_gather(cols):
             read.extend(cols.tolist())
-            return gather(cols, coeffs)
+            return gather(cols)
 
         monkeypatch.setattr(prob.P, "gather", recording_gather)
         cfg = RsriConfig(m=2, t=60, t_min=20, seed=6, trials=3)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rsri import (
     CscMatrix,
-    DenseColumnMatrix,
     FunctionColumnMatrix,
     SparseVector,
     apply,
@@ -62,23 +61,14 @@ class TestColumnBackings:
         assert A.column(0).values.tolist() == [1.0]
 
     def test_dense_backing(self):
-        A = DenseColumnMatrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        A = CscMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert A.column(1).nnz == 0
         np.testing.assert_array_equal(A.column(0).to_dense(), [1.0, 2.0])
 
-    def test_dense_backing_is_the_csc_matrix_of_its_array(self, np_rng):
-        dense = np_rng.standard_normal((7, 7)) * (np_rng.random((7, 7)) < 0.4)
-        dense[0, 0] = -0.0  # a zero, as in SparseVector.from_dense
-        A, C = DenseColumnMatrix(dense), CscMatrix.from_dense(dense)
-        assert isinstance(A, CscMatrix) and not hasattr(A, "array")
-        for a, c in ((A.indptr, C.indptr), (A.indices, C.indices), (A.data, C.data)):
-            assert a.tobytes() == c.tobytes() and not a.flags.writeable
-
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (2, 2, 2)])
     def test_from_dense_needs_a_square_array(self, shape):
-        for build in (CscMatrix.from_dense, DenseColumnMatrix):
-            with pytest.raises(ValueError, match="square 2-D array"):
-                build(np.ones(shape))
+        with pytest.raises(ValueError, match="square 2-D array"):
+            CscMatrix.from_dense(np.ones(shape))
 
     @pytest.mark.parametrize(
         "rows, cols, match",
@@ -121,7 +111,7 @@ class TestColumnBackings:
             with pytest.raises(ValueError, match="dim must be positive"):
                 build()
         with pytest.raises(ValueError, match="dim must be positive"):
-            DenseColumnMatrix(np.zeros((0, 0)))
+            CscMatrix.from_dense(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "dim, indptr, indices, data, match",
@@ -231,6 +221,11 @@ class TestNormAndDiagnostics:
     def test_series_tolerance_is_fixed(self):
         with pytest.raises(TypeError):
             diagnostics(identity(3), term_tol=1e-6)
+        for terms in (2.5, True):
+            with pytest.raises(TypeError, match="series_terms must be an integer"):
+                diagnostics(identity(3), terms)
+        with pytest.raises(ValueError, match="series_terms must be nonnegative"):
+            diagnostics(identity(3), -1)
 
     def test_reads_each_column_once(self):
         dense = np.eye(6) - 0.1 * np.ones((6, 6))
@@ -331,7 +326,7 @@ class TestDiagnosticsOnEveryBacking:
     @pytest.mark.parametrize("name", ["signed", "pagerank"])
     def test_figures_match_pins(self, name):
         A = self.matrices()[name]
-        for B in (A, DenseColumnMatrix(densify(A)), FunctionColumnMatrix(A.dim, A.column)):
+        for B in (A, CscMatrix.from_dense(densify(A)), FunctionColumnMatrix(A.dim, A.column)):
             d = diagnostics(B)
             assert (d.g_norm1, d.m_g_simple, d.m_g_series) == self.PINNED[name], type(B).__name__
             assert matrix_norm1_of_g(B) == self.PINNED[name][0]
@@ -360,10 +355,8 @@ class TestApply:
         dense = np_rng.random((6, 6))
         v = np_rng.random(6)
         a = apply(CscMatrix.from_dense(dense), v)
-        b = apply(DenseColumnMatrix(dense), v)
         c = apply(FunctionColumnMatrix(6, lambda j: SparseVector.from_dense(dense[:, j])), v)
         np.testing.assert_allclose(a, dense @ v, atol=1e-12)
-        np.testing.assert_allclose(b, dense @ v, atol=1e-12)
         np.testing.assert_allclose(c, dense @ v, atol=1e-12)
 
     def test_generic_backing_reads_only_nonzero_columns(self, np_rng):
@@ -385,7 +378,8 @@ class TestApply:
 
     def test_read_once_store_gathers_what_the_matrix_does(self, np_rng):
         # hits, new columns, repeats within a request, empty columns and an
-        # empty request all give A.gather's bits; each column is read once
+        # empty request all give the stored columns' bits on every backing:
+        # the store, the generator and the CSC matrix; each column is read once
         dense = np_rng.standard_normal((50, 50)) * (np_rng.random((50, 50)) < 0.1)
         dense[:, 7] = 0.0
         reads = []
@@ -395,20 +389,19 @@ class TestApply:
             return SparseVector.from_dense(dense[:, j])
 
         A = FunctionColumnMatrix(50, column)
-        store = _ReadOnce(A)
+        store, C = _ReadOnce(A), CscMatrix.from_dense(dense)
         requests = [[3, 9, 7], [3, 9], [9, 4, 4, 3, 12], [], [20, 21, 22], [7, 22, 3, 30, 30]]
         requests += [np_rng.integers(0, 50, 40).tolist() for _ in range(20)] + [list(range(50))]
         seen = set()
         for cols in requests:
             cols = np.array(cols, dtype=np.int64)
-            coeffs = np_rng.standard_normal(cols.size)
             reads.clear()
-            got = store.gather(cols, coeffs)
+            got = store.gather(cols)
             assert sorted(reads) == sorted(set(cols.tolist()) - seen)
             seen |= set(reads)
-            want = A.gather(cols, coeffs)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            for want in (A.gather(cols), C.gather(cols)):
+                for g, w in zip(got, want, strict=True):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -489,7 +482,7 @@ class TestWholeMatrixReads:
 
     def backings(self):
         A = CscMatrix.from_dense(self.DENSE)
-        return A, DenseColumnMatrix(self.DENSE), FunctionColumnMatrix(A.dim, A.column)
+        return A, FunctionColumnMatrix(A.dim, A.column)
 
     def test_save_writes_exact_text_for_every_backing(self, tmp_path):
         for k, A in enumerate(self.backings()):

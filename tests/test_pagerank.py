@@ -33,13 +33,13 @@ class TestLoadEdgeList:
     def test_simple(self, tmp_path):
         edges = load_edge_list(write_edges(tmp_path, "0 1\n1 0\n"))
         assert edges.node_count == 2
-        assert edges.edge_count == 2
+        assert edges.src.size == 2
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         text = "# heading\n\n0 1\n# interleaved\n1 2\n"
         edges = load_edge_list(write_edges(tmp_path, text))
         assert edges.node_count == 3
-        assert edges.edge_count == 2
+        assert edges.src.size == 2
 
     def test_first_appearance_order(self, tmp_path):
         edges = load_edge_list(write_edges(tmp_path, "10 7\n10 10\n"))
@@ -208,6 +208,9 @@ class TestBuildProblem:
             build_problem(edges, 1.0, source=0)
         with pytest.raises(ValueError):
             build_problem(edges, 0.85, source=2)
+        for source in (1.5, True):
+            with pytest.raises(TypeError, match="source must be an integer"):
+                build_problem(edges, 0.85, source=source)
 
 
 def reference_matrices(edges, alpha, source):

@@ -8,7 +8,6 @@ import pytest
 
 from rsri import (
     CscMatrix,
-    DenseColumnMatrix,
     FunctionColumnMatrix,
     NonConvergenceError,
     RandomStream,
@@ -148,6 +147,19 @@ class TestReferenceSolve:
             reference_solve(A, b, tol=1e-12, max_iter=50)
         assert err.value.residual > 0.1
 
+    @pytest.mark.parametrize(
+        "max_iter, error, match",
+        [
+            (-1, ValueError, "max_iter must be nonnegative"),
+            (50.5, TypeError, "max_iter must be an integer"),
+            (True, TypeError, "max_iter must be an integer"),
+        ],
+    )
+    def test_max_iter_validation(self, max_iter, error, match):
+        A, b = nilpotent_system()
+        with pytest.raises(error, match=match):
+            reference_solve(A, b, max_iter=max_iter)
+
     def test_divergence_fails_fast(self, monkeypatch):
         from rsri import apply, solvers
 
@@ -207,7 +219,7 @@ class TestRsri:
         A = CscMatrix.from_dense(np.eye(40) - G)
         A = {
             "csc": A,
-            "dense": DenseColumnMatrix(np.eye(40) - G),
+            "dense": CscMatrix.from_dense(np.eye(40) - G),
             "function": FunctionColumnMatrix(40, A.column),
         }[backing]
         g = matrix_norm1_of_g(A)
@@ -584,7 +596,7 @@ class TestBackingsGiveSameBits:
         cfg = RsriConfig(m=16, t=200, t_min=100, seed=6, trials=1)
         backings = {
             "csc": A,
-            "dense": DenseColumnMatrix(densify(A)),
+            "dense": CscMatrix.from_dense(densify(A)),
             "function": FunctionColumnMatrix(A.dim, A.column),
         }
         outputs = {

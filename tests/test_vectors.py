@@ -39,6 +39,9 @@ class TestSparseVector:
             SparseVector(3, np.array([0, 3]), np.array([1.0, 2.0]))  # out of range
         with pytest.raises(ValueError):
             SparseVector(3, np.array([0]), np.array([0.0]))  # stored zero
+        for k in (2.7, True):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                SparseVector.basis(10, k)
 
     @pytest.mark.parametrize(
         "dim, idx, val, message",
